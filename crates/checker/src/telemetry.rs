@@ -921,6 +921,84 @@ mod tests {
         assert_eq!(wal.torn_lines, 0);
     }
 
+    /// An `exec_done` record as a checker release wrote it to a campaign
+    /// WAL (`scan --faults --strategy dpor`, `patterns/txn-wal`).
+    const GOLDEN_EXEC_DONE: &str = r#"{"crashes": 1,"depth": 50,"disk_flushes": 8,"disk_ops": 30,"disk_reads": 11,"disk_writes": 19,"duration_us": 829,"faults": "torn-sub0","helped": 1,"index": 38,"lock_blocks": 1,"net_msgs": 0,"net_recvs": 0,"net_sends": 0,"outcome": "ok","pass": "torn-write-sweep","scenario": "transactional WAL","seed": "0x6f792d072542747b","steps": 51,"trace_fp": "0x11cc7fc46a72e234","type": "exec_done"}"#;
+
+    /// The `run_end` record of the same campaign's `kv/cross-bucket` run.
+    const GOLDEN_RUN_END: &str = r#"{"counterexamples": 0,"coverage_guided": 0,"crash_points": 729,"crash_points_enumerable": 22,"crash_points_exercised": 50,"crashes_injected": 1345,"disk_flushes": 3340,"disk_reads": 8198,"disk_writes": 3520,"distinct_traces": 182,"execs_per_sec": 1939.60649520027,"executions": 1028,"fault_plans": 76,"fault_plans_enumerable": 76,"fault_plans_exercised": 76,"incomplete": [],"net_recvs": 0,"net_sends": 0,"outcomes": {"bug": 0,"deadlock": 0,"final_check_failed": 0,"harness_panic": 0,"ok": 1028,"ub": 0,"violation": 0,"wedged": 0},"passed": true,"pruned": 39,"replayed": 0,"scenario": "node KV store","shard": null,"strategy": "sleep-set-dpor","total_steps": 28043,"type": "run_end","wall_time_s": 0.530004412,"workers": 2}"#;
+
+    /// WALs written by earlier checker builds must keep parsing and
+    /// resuming, and today's writer must keep producing the same bytes:
+    /// the golden `exec_done` line parses into the replay map and
+    /// re-renders byte for byte.
+    #[test]
+    fn golden_exec_done_line_parses_and_re_renders_byte_for_byte() {
+        let wal = parse_wal(GOLDEN_EXEC_DONE, "transactional WAL");
+        let w = wal.completed[&(Pass::TornWrite.rank(), 38)];
+        assert_eq!((w.steps, w.helped, w.disk_writes), (51, 1, 19));
+        let mut ev = ev_exec_done(&ExecEvent {
+            pass: Pass::TornWrite,
+            index: 38,
+            seed: 0x6f79_2d07_2542_747b,
+            outcome: OutcomeKind::Ok,
+            steps: w.steps,
+            depth: w.depth,
+            crashes: w.crashes,
+            helped: w.helped,
+            lock_blocks: w.lock_blocks,
+            disk_ops: w.disk_ops,
+            net_msgs: w.net_msgs,
+            disk_reads: w.disk_reads,
+            disk_writes: w.disk_writes,
+            disk_flushes: w.disk_flushes,
+            net_sends: w.net_sends,
+            net_recvs: w.net_recvs,
+            trace_fp: w.trace_fp,
+            faults: "torn-sub0",
+            duration: Duration::from_micros(829),
+        });
+        if let Value::Object(m) = &mut ev {
+            m.insert("scenario".into(), Value::String("transactional WAL".into()));
+        }
+        assert_eq!(serde_json::to_string(&ev).unwrap(), GOLDEN_EXEC_DONE);
+    }
+
+    /// The golden `run_end` line is what `ev_run_end` renders for a
+    /// report with the same totals, byte for byte (timing included).
+    #[test]
+    fn golden_run_end_line_renders_byte_for_byte() {
+        let mut r = CheckReport {
+            name: "node KV store".into(),
+            executions: 1028,
+            total_steps: 28043,
+            crashes_injected: 1345,
+            crash_points: 729,
+            fault_plans: 76,
+            disk_reads: 8198,
+            disk_writes: 3520,
+            disk_flushes: 3340,
+            strategy: "sleep-set-dpor".into(),
+            pruned: 39,
+            workers: 2,
+            wall_time: Duration::from_nanos(530_004_412),
+            execs_per_sec: 1939.60649520027,
+            ..CheckReport::default()
+        };
+        r.outcomes.ok = 1028;
+        r.coverage.crash_points_exercised = 50;
+        r.coverage.crash_points_enumerable = 22;
+        r.coverage.disk_fault_plans_exercised = 28;
+        r.coverage.disk_fault_plans_enumerable = 28;
+        r.coverage.torn_plans_exercised = 48;
+        r.coverage.torn_plans_enumerable = 48;
+        r.coverage.distinct_traces = 182;
+        assert_eq!(
+            serde_json::to_string(&ev_run_end(&r)).unwrap(),
+            GOLDEN_RUN_END
+        );
+    }
+
     #[test]
     fn wal_filters_by_scenario_and_tracks_run_starts() {
         let text = concat!(
