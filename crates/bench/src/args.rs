@@ -1,11 +1,11 @@
 //! Shared CLI argument parsing for the bench binaries and examples.
 //!
-//! `scan`, `scale`, and `examples/scenario_smoke` each grew their own
-//! hand-rolled flag loop; this module is the one copy. A binary
-//! declares its flags as an [`ArgSpec`] slice and gets back a
-//! [`ParsedArgs`] with typed accessors — so a new flag (`--profile`,
-//! `--baseline`, `--diff`) is defined once and unknown-flag errors are
-//! uniform. Deliberately tiny: no external dependency, no derive magic,
+//! `scan`, `scale`, `harness`, and `examples/scenario_smoke` declare
+//! their flags as an [`ArgSpec`] slice inside a [`Cli`] and get back a
+//! [`ParsedArgs`] with typed accessors — so a new flag is defined once,
+//! and every binary shares one usage and exit path: `--help` prints the
+//! usage and exits 0, a bad argument prints the error plus the usage and
+//! exits 2. Deliberately tiny: no external dependency, no derive magic,
 //! just the three shapes the suite's CLIs actually use (boolean flags,
 //! `--flag VALUE` pairs, and greedy `--flag A B C…` tails).
 
@@ -133,6 +133,72 @@ pub fn parse_args(
     Ok(out)
 }
 
+/// Why a command line yields no arguments to run with.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Exit {
+    /// `--help` or `-h`: print the usage, exit 0.
+    Help,
+    /// A bad argument: print the message and the usage, exit 2.
+    Usage(String),
+}
+
+impl Exit {
+    /// The process exit code.
+    pub fn code(&self) -> i32 {
+        match self {
+            Exit::Help => 0,
+            Exit::Usage(_) => 2,
+        }
+    }
+}
+
+/// One binary's command line: its name, usage text, and declared flags.
+#[derive(Debug, Clone, Copy)]
+pub struct Cli {
+    pub name: &'static str,
+    pub usage: &'static str,
+    pub spec: &'static [ArgSpec],
+}
+
+impl Cli {
+    /// Parses `raw` against the spec; `--help`/`-h` anywhere wins.
+    pub fn try_parse(&self, raw: impl IntoIterator<Item = String>) -> Result<ParsedArgs, Exit> {
+        let raw: Vec<String> = raw.into_iter().collect();
+        if raw.iter().any(|a| a == "--help" || a == "-h") {
+            return Err(Exit::Help);
+        }
+        parse_args(raw, self.spec).map_err(Exit::Usage)
+    }
+
+    /// Parses this process's arguments, or prints the usage and exits.
+    pub fn parse(&self) -> ParsedArgs {
+        self.try_parse(std::env::args().skip(1))
+            .unwrap_or_else(|e| self.exit(e))
+    }
+
+    /// Prints what `e` calls for and exits with its code.
+    pub fn exit(&self, e: Exit) -> ! {
+        match &e {
+            Exit::Help => print!("{}", self.usage),
+            Exit::Usage(msg) => eprint!("{}: {msg}\n\n{}", self.name, self.usage),
+        }
+        std::process::exit(e.code())
+    }
+
+    /// A bad argument found after parsing (a malformed value, an unknown
+    /// name): the same exit as a parse error.
+    pub fn usage_error(&self, msg: impl std::fmt::Display) -> ! {
+        self.exit(Exit::Usage(msg.to_string()))
+    }
+
+    /// A fatal runtime error (unreadable input, unwritable output):
+    /// `NAME: MSG` on stderr, exit 2.
+    pub fn fail(&self, msg: impl std::fmt::Display) -> ! {
+        eprintln!("{}: {msg}", self.name);
+        std::process::exit(2)
+    }
+}
+
 /// Applies a `--strategy` name to a [`CheckConfigBuilder`] — the one
 /// copy of the strategy-name table (aliases included) the CLIs share.
 pub fn apply_strategy(
@@ -192,6 +258,29 @@ mod tests {
             .contains("needs a value"));
         let a = parse(&["--workers", "x"]).unwrap();
         assert!(a.parse_value::<usize>("--workers").is_err());
+    }
+
+    #[test]
+    fn help_exits_zero_and_bad_arguments_exit_two() {
+        const SPEC: &[ArgSpec] = &[flag("--faults"), value("--workers")];
+        let cli = Cli {
+            name: "demo",
+            usage: "usage: demo [--faults] [--workers N]\n",
+            spec: SPEC,
+        };
+        let run = |args: &[&str]| cli.try_parse(args.iter().map(|s| s.to_string()));
+        assert_eq!(run(&["--help"]).unwrap_err(), Exit::Help);
+        assert_eq!(run(&["--faults", "-h"]).unwrap_err().code(), 0);
+        let bad = run(&["--bogus"]).unwrap_err();
+        assert_eq!(bad.code(), 2);
+        assert!(
+            matches!(&bad, Exit::Usage(m) if m.contains("--bogus")),
+            "{bad:?}"
+        );
+        assert_eq!(run(&["--workers"]).unwrap_err().code(), 2);
+        assert!(run(&["--faults", "--workers", "2"])
+            .unwrap()
+            .flag("--faults"));
     }
 
     #[test]

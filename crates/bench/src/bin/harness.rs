@@ -4,10 +4,11 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p perennial-bench --release --bin harness -- [all|table1|table2|table3|table4|fig11] [--json FILE]
+//! cargo run -p perennial-bench --release --bin harness -- [all|table1|table2|table3|table4|fig11|ablation]... [--json FILE]
 //! ```
 
 use perennial_bench::ablation::{render_ablation, run_ablation};
+use perennial_bench::args::{value, Cli};
 use perennial_bench::fig11::{run_fig11, Fig11Config};
 use perennial_bench::loc::{table2_rows, table3_rows, table4_rows};
 use perennial_bench::tables::{
@@ -26,21 +27,27 @@ fn pattern_check_config() -> CheckConfig {
         .build()
 }
 
+const EXPERIMENTS: [&str; 6] = ["table1", "table2", "table3", "table4", "fig11", "ablation"];
+
+const CLI: Cli = Cli {
+    name: "harness",
+    usage: "usage: harness [all|table1|table2|table3|table4|fig11|ablation]... [--json FILE]\n",
+    spec: &[value("--json")],
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut what: Vec<&str> = args
+    let args = CLI.parse();
+    let mut what: Vec<&str> = args.positionals().iter().map(String::as_str).collect();
+    if let Some(other) = what
         .iter()
-        .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
-        .collect();
-    if what.is_empty() || what.contains(&"all") {
-        what = vec!["table1", "table2", "table3", "table4", "fig11", "ablation"];
+        .find(|w| **w != "all" && !EXPERIMENTS.contains(w))
+    {
+        CLI.usage_error(format!("unknown experiment {other:?}"));
     }
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    if what.is_empty() || what.contains(&"all") {
+        what = EXPERIMENTS.to_vec();
+    }
+    let json_path = args.value("--json");
     let mut json = serde_json::Map::new();
 
     for item in what {
@@ -131,17 +138,14 @@ fn main() {
                     }),
                 );
             }
-            other => {
-                eprintln!("unknown experiment: {other}");
-                std::process::exit(2);
-            }
+            other => unreachable!("experiment {other:?} passed validation"),
         }
     }
 
     if let Some(path) = json_path {
         let value = serde_json::Value::Object(json);
-        std::fs::write(&path, serde_json::to_string_pretty(&value).unwrap())
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, serde_json::to_string_pretty(&value).unwrap())
+            .unwrap_or_else(|e| CLI.fail(format!("writing {path}: {e}")));
         println!("(machine-readable record written to {path})");
     }
 }

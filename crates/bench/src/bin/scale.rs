@@ -20,13 +20,32 @@
 //! acceptance targets on an 8-core machine: ≥3x execs/sec at 8 workers
 //! vs 1, and WAL overhead < 5% of a cold run.
 
-use perennial_bench::args::{flag, parse_args, value};
+use perennial_bench::args::{flag, value, ArgSpec, Cli};
 use perennial_bench::perf::{diff_scale, render_diff, Thresholds, SCALE_SCHEMA_VERSION};
 use perennial_bench::scale::{
     median_ratio, render_reduction, render_resume, render_scale, run_reduction, run_resume,
     run_scale, ReductionRow, ResumeRow, ScaleRow,
 };
 use perennial_checker::{parse_shard, CheckConfig, EnvStamp, Pass, ScenarioSet};
+
+const USAGE: &str = "\
+usage: scale [SCENARIO] [WORKER-COUNT...] [--json FILE] [--shard I/N]
+             [--resume WAL] [--baseline BENCH_scale.json [--diff]]
+";
+
+const SPEC: &[ArgSpec] = &[
+    value("--json"),
+    value("--shard"),
+    value("--resume"),
+    value("--baseline"),
+    flag("--diff"),
+];
+
+const CLI: Cli = Cli {
+    name: "scale",
+    usage: USAGE,
+    spec: SPEC,
+};
 
 fn registry() -> ScenarioSet {
     let mut set = ScenarioSet::new();
@@ -108,52 +127,44 @@ fn resume_json(row: &ResumeRow) -> serde_json::Value {
     })
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
-
 fn main() {
-    let spec = [
-        value("--json"),
-        value("--shard"),
-        value("--resume"),
-        value("--baseline"),
-        flag("--diff"),
-    ];
-    let args = parse_args(std::env::args().skip(1), &spec).unwrap_or_else(|e| die(&e));
+    let args = CLI.parse();
     let json_path = args.value("--json").map(String::from);
     // `--shard I/N`: measure one deterministic slice of the job space
     // (applied to both scaling configs; the reduction table stays
     // unsharded — executions-to-counterexample is a whole-space metric).
     let shard = args
         .value("--shard")
-        .map(|s| parse_shard(s).unwrap_or_else(|e| die(&e)));
+        .map(|s| parse_shard(s).unwrap_or_else(|e| CLI.usage_error(e)));
     // `--resume PATH`: use PATH as the WAL for the checkpoint/resume
     // cost measurement (default: a file in the system temp dir).
     let resume_wal = args.value("--resume").map(std::path::PathBuf::from);
     let baseline_path = args.value("--baseline").map(String::from);
     let strict_diff = args.flag("--diff");
     if strict_diff && baseline_path.is_none() {
-        die("--diff needs --baseline FILE");
+        CLI.usage_error("--diff needs --baseline FILE");
     }
     let mut positional = args.positionals().iter();
     let name = positional
         .next()
         .cloned()
         .unwrap_or_else(|| "patterns/wal".to_string());
-    let mut counts: Vec<usize> = positional.filter_map(|a| a.parse().ok()).collect();
+    let mut counts: Vec<usize> = positional
+        .map(|a| match a.parse() {
+            Ok(n) if n > 0 => n,
+            _ => CLI.usage_error(format!("bad worker count {a:?}")),
+        })
+        .collect();
     if counts.is_empty() {
         counts = vec![1, 2, 4, 8];
     }
 
     let registry = registry();
     let Some(scenario) = registry.get(&name) else {
-        eprintln!("unknown scenario {name:?}; registered names:");
-        for n in registry.names() {
-            eprintln!("  {n}");
-        }
-        std::process::exit(2);
+        CLI.usage_error(format!(
+            "unknown scenario {name:?}; registered names:\n  {}",
+            registry.names().join("\n  ")
+        ));
     };
 
     // A deliberately heavy config: the nested crash sweep gives the pool
@@ -240,17 +251,17 @@ fn main() {
     });
     if let Some(path) = &json_path {
         std::fs::write(path, serde_json::to_string_pretty(&record).unwrap())
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+            .unwrap_or_else(|e| CLI.fail(format!("writing {path}: {e}")));
         println!("\n(machine-readable record written to {path})");
     }
 
     if let Some(path) = baseline_path {
         let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| die(&format!("reading baseline {path}: {e}")));
+            .unwrap_or_else(|e| CLI.fail(format!("reading baseline {path}: {e}")));
         let baseline = serde_json::from_str(&text)
-            .unwrap_or_else(|e| die(&format!("parsing baseline {path}: {e}")));
+            .unwrap_or_else(|e| CLI.fail(format!("parsing baseline {path}: {e}")));
         let diff = diff_scale(&baseline, &record, &Thresholds::default())
-            .unwrap_or_else(|e| die(&format!("diffing against {path}: {e}")));
+            .unwrap_or_else(|e| CLI.fail(format!("diffing against {path}: {e}")));
         println!();
         print!("{}", render_diff(&diff));
         if strict_diff && diff.regressed() {

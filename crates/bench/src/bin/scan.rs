@@ -53,15 +53,52 @@
 //! which is the equality oracle CI uses for kill/resume and shard/merge.
 //! Exit status: 0 when the campaign completed (mutant FAILs are
 //! expected findings, not campaign errors), 1 when a run degraded to an
-//! INCOMPLETE partial report, 2 on usage errors.
+//! INCOMPLETE partial report, 2 on usage errors (`--help` prints the
+//! usage and exits 0).
 
-use perennial_bench::args::{apply_strategy, flag, parse_args, rest, value};
+use perennial_bench::args::{apply_strategy, flag, rest, value, ArgSpec, Cli};
 use perennial_checker::{
     chrome_trace_json, emit_test, merge_reports, parse_shard, profile_to_json, render_dashboard,
     render_explain, render_profile, report_fingerprint, report_from_json, report_to_json,
     test_file_name, trace_fingerprint, CheckConfig, CheckReport, Dashboard, Pass, ScenarioSet,
 };
 use std::path::{Path, PathBuf};
+
+const USAGE: &str = "\
+usage: scan [--filter SUBSTR] [--shard I/N] [--wal DIR] [--resume]
+            [--out FILE] [--faults] [--strategy exhaustive|dpor|coverage]
+            [--workers N] [--budget N] [--seed N]
+            [--trace-out DIR] [--explain] [--profile FILE]
+            [--shrink] [--emit-test DIR]
+       scan --merge FILE... [--out FILE]
+       scan --dashboard PATH...
+";
+
+const SPEC: &[ArgSpec] = &[
+    value("--filter"),
+    value("--shard"),
+    value("--wal"),
+    flag("--resume"),
+    value("--out"),
+    flag("--faults"),
+    value("--strategy"),
+    value("--workers"),
+    value("--budget"),
+    value("--seed"),
+    rest("--merge"),
+    rest("--dashboard"),
+    value("--trace-out"),
+    flag("--explain"),
+    value("--profile"),
+    flag("--shrink"),
+    value("--emit-test"),
+];
+
+const CLI: Cli = Cli {
+    name: "scan",
+    usage: USAGE,
+    spec: SPEC,
+};
 
 fn registry() -> ScenarioSet {
     let mut set = ScenarioSet::new();
@@ -110,24 +147,25 @@ fn write_out(path: &str, shard: Option<(u32, u32)>, reports: &[CheckReport]) {
         serde_json::Value::Array(reports.iter().map(report_to_json).collect()),
     );
     let text = serde_json::to_string_pretty(&serde_json::Value::Object(root)).unwrap();
-    std::fs::write(path, text).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+    std::fs::write(path, text).unwrap_or_else(|e| CLI.fail(format!("writing {path}: {e}")));
     println!("(campaign report written to {path})");
 }
 
 fn read_out(path: &str) -> Vec<CheckReport> {
     let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("reading {path}: {e}")));
-    let v = serde_json::from_str(&text).unwrap_or_else(|e| die(&format!("parsing {path}: {e}")));
+        std::fs::read_to_string(path).unwrap_or_else(|e| CLI.fail(format!("reading {path}: {e}")));
+    let v =
+        serde_json::from_str(&text).unwrap_or_else(|e| CLI.fail(format!("parsing {path}: {e}")));
     let serde_json::Value::Object(map) = v else {
-        die(&format!("{path}: not a campaign report object"));
+        CLI.fail(format!("{path}: not a campaign report object"));
     };
     let Some(serde_json::Value::Array(items)) = map.get("scenarios") else {
-        die(&format!("{path}: no \"scenarios\" array"));
+        CLI.fail(format!("{path}: no \"scenarios\" array"));
     };
     items
         .iter()
         .map(|item| {
-            report_from_json(item).unwrap_or_else(|e| die(&format!("{path}: bad report: {e}")))
+            report_from_json(item).unwrap_or_else(|e| CLI.fail(format!("{path}: bad report: {e}")))
         })
         .collect()
 }
@@ -148,7 +186,7 @@ fn merge_mode(files: &[String], out: Option<&str>) -> i32 {
                 println!("{}", r.summary());
                 merged.push(r);
             }
-            Err(e) => die(&format!("merging {name}: {e}")),
+            Err(e) => CLI.fail(format!("merging {name}: {e}")),
         }
     }
     let incomplete = merged.iter().any(|r| r.is_incomplete());
@@ -173,7 +211,7 @@ fn dashboard_mode(paths: &[String]) -> i32 {
         let path = PathBuf::from(p);
         if path.is_dir() {
             let mut found: Vec<PathBuf> = std::fs::read_dir(&path)
-                .unwrap_or_else(|e| die(&format!("reading {path:?}: {e}")))
+                .unwrap_or_else(|e| CLI.fail(format!("reading {path:?}: {e}")))
                 .filter_map(|entry| entry.ok().map(|e| e.path()))
                 .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
                 .collect();
@@ -193,7 +231,7 @@ fn dashboard_mode(paths: &[String]) -> i32 {
     let mut dash = Dashboard::default();
     for file in &files {
         let text = std::fs::read_to_string(file)
-            .unwrap_or_else(|e| die(&format!("reading {file:?}: {e}")));
+            .unwrap_or_else(|e| CLI.fail(format!("reading {file:?}: {e}")));
         let scenario = file
             .file_stem()
             .and_then(|s| s.to_str())
@@ -213,41 +251,15 @@ fn trace_path(dir: &Path, scenario: &str) -> PathBuf {
     dir.join(format!("{}.trace.json", scenario.replace('/', "__")))
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("scan: {msg}");
-    std::process::exit(2);
-}
-
 fn main() {
-    let spec = [
-        value("--filter"),
-        value("--shard"),
-        value("--wal"),
-        flag("--resume"),
-        value("--out"),
-        flag("--faults"),
-        value("--strategy"),
-        value("--workers"),
-        value("--budget"),
-        value("--seed"),
-        rest("--merge"),
-        rest("--dashboard"),
-        value("--trace-out"),
-        flag("--explain"),
-        value("--profile"),
-        flag("--shrink"),
-        value("--emit-test"),
-    ];
-    let args = parse_args(std::env::args().skip(1), &spec).unwrap_or_else(|e| die(&e));
+    let args = CLI.parse();
     if let [stray, ..] = args.positionals() {
-        die(&format!(
-            "unexpected argument {stray:?} (see the doc comment)"
-        ));
+        CLI.usage_error(format!("unexpected argument {stray:?}"));
     }
     let filter = args.value("--filter");
     let shard = args
         .value("--shard")
-        .map(|s| parse_shard(s).unwrap_or_else(|e| die(&e)));
+        .map(|s| parse_shard(s).unwrap_or_else(|e| CLI.usage_error(e)));
     let wal_dir = args.value("--wal").map(PathBuf::from);
     let resume = args.flag("--resume");
     let out = args.value("--out");
@@ -255,15 +267,15 @@ fn main() {
     let strategy = args.value("--strategy").unwrap_or("exhaustive");
     let workers: usize = args // 0 = builder default
         .parse_value("--workers")
-        .unwrap_or_else(|e| die(&e))
+        .unwrap_or_else(|e| CLI.usage_error(e))
         .unwrap_or(0);
     let budget: u64 = args
         .parse_value("--budget")
-        .unwrap_or_else(|e| die(&e))
+        .unwrap_or_else(|e| CLI.usage_error(e))
         .unwrap_or(0);
     let seed: u64 = args
         .parse_value("--seed")
-        .unwrap_or_else(|e| die(&e))
+        .unwrap_or_else(|e| CLI.usage_error(e))
         .unwrap_or(7);
     let trace_out = args.value("--trace-out").map(PathBuf::from);
     let explain = args.flag("--explain");
@@ -278,16 +290,16 @@ fn main() {
         std::process::exit(dashboard_mode(args.tail("--dashboard")));
     }
     if resume && wal_dir.is_none() {
-        die("--resume needs --wal DIR (the logs to resume from)");
+        CLI.usage_error("--resume needs --wal DIR (the logs to resume from)");
     }
     if let Some(dir) = &wal_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("creating {dir:?}: {e}")));
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| CLI.fail(format!("creating {dir:?}: {e}")));
     }
     if let Some(dir) = &trace_out {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("creating {dir:?}: {e}")));
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| CLI.fail(format!("creating {dir:?}: {e}")));
     }
     if let Some(dir) = &emit_test_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("creating {dir:?}: {e}")));
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| CLI.fail(format!("creating {dir:?}: {e}")));
     }
 
     let registry = registry();
@@ -296,7 +308,7 @@ fn main() {
         .filter(|s| filter.is_none_or(|f| s.name().contains(f)))
         .collect();
     if selected.is_empty() {
-        die("no scenario matches the filter; run without --filter to sweep everything");
+        CLI.usage_error("no scenario matches the filter; run without --filter to sweep everything");
     }
 
     let mut reports = Vec::new();
@@ -315,7 +327,7 @@ fn main() {
         if faults {
             cfg = cfg.with_passes([Pass::DiskFault, Pass::TornWrite, Pass::NetFault]);
         }
-        cfg = apply_strategy(cfg, strategy).unwrap_or_else(|e| die(&e));
+        cfg = apply_strategy(cfg, strategy).unwrap_or_else(|e| CLI.usage_error(e));
         if workers > 0 {
             cfg = cfg.workers(workers);
         }
@@ -351,7 +363,7 @@ fn main() {
             let path = dir.join(test_file_name(&report.name));
             let source = emit_test(&report.name, cx, 200_000);
             std::fs::write(&path, source)
-                .unwrap_or_else(|e| die(&format!("writing {path:?}: {e}")));
+                .unwrap_or_else(|e| CLI.fail(format!("writing {path:?}: {e}")));
             println!("(replay test written to {})", path.display());
         }
         if let Some(timeline) = report
@@ -364,7 +376,7 @@ fn main() {
                 let json = chrome_trace_json(timeline, &report.name);
                 let text = serde_json::to_string_pretty(&json).unwrap();
                 std::fs::write(&path, text)
-                    .unwrap_or_else(|e| die(&format!("writing {path:?}: {e}")));
+                    .unwrap_or_else(|e| CLI.fail(format!("writing {path:?}: {e}")));
                 println!("(chrome trace written to {})", path.display());
             }
             if explain {
@@ -393,7 +405,7 @@ fn main() {
     }
     if let Some(path) = profile_out {
         let text = serde_json::to_string_pretty(&serde_json::Value::Array(profiles)).unwrap();
-        std::fs::write(path, text).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+        std::fs::write(path, text).unwrap_or_else(|e| CLI.fail(format!("writing {path}: {e}")));
         println!("(profile written to {path})");
     }
     if let Some(path) = out {

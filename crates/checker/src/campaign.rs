@@ -12,10 +12,9 @@
 //!   back as [`GhostError::Imported`] carrying the rendered message, so
 //!   fingerprints (which hash the rendering) round-trip exactly.
 //! - [`merge_reports`] — recombines one report per shard into the
-//!   report an unsharded run of the same configuration would produce:
-//!   statistics and histograms sum, coverage sets union, enumerable
-//!   horizons agree by construction, and the canonical counterexample
-//!   is the minimum-key failure across all shards.
+//!   report an unsharded run of the same configuration would produce,
+//!   by checking the shards cover `0..n` and merging their
+//!   [`OutcomeFold`]s (the merge rule is [`OutcomeFold::merge`]'s).
 //!
 //! [`report_fingerprint`] is the campaign's equality oracle: a hash of
 //! the report's deterministic content (timing, worker count, shard
@@ -25,12 +24,14 @@
 //! runs produce the same fingerprint as one uninterrupted run.
 
 use crate::explore::{CheckReport, Counterexample, ExecOutcome};
-use crate::metrics::{trace_fingerprint, Histogram, OutcomeKind, PassMetrics};
+use crate::fold::OutcomeFold;
+use crate::metrics::{trace_fingerprint, Histogram, OutcomeCounts, OutcomeKind, PassMetrics};
 use crate::pass::Pass;
+use crate::telemetry::{arr_field, f64_field, hex64, hex_field, obj_field, str_field, u64_field};
 use goose_rt::fault::{FaultPlan, NetFault, TornMode};
 use perennial::GhostError;
 use serde_json::{json, Map, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// Parses the `i/n` shard syntax: `0/4` is the first of four shards.
@@ -44,13 +45,6 @@ pub fn parse_shard(s: &str) -> Result<(u32, u32), String> {
         return Err(format!("shard {i}/{n}: index must satisfy i < n, n > 0"));
     }
     Ok((i, n))
-}
-
-/// 64-bit values go through JSON as hex strings (the shim's numbers are
-/// f64; see `telemetry::hex64`). Zero-padded to a fixed 16 hex digits,
-/// same invariant as the telemetry stream.
-fn hex64(v: u64) -> String {
-    format!("{v:#018x}")
 }
 
 fn faults_to_json(f: &FaultPlan) -> Value {
@@ -121,10 +115,6 @@ fn hist_to_json(h: &Histogram) -> Value {
 /// Serializes a [`CheckReport`] for cross-process merging and the
 /// campaign fingerprint. The inverse is [`report_from_json`].
 pub fn report_to_json(r: &CheckReport) -> Value {
-    let mut outcomes = Map::new();
-    for (name, n) in r.outcomes.entries() {
-        outcomes.insert(name.to_string(), serde_json::to_value(&n));
-    }
     json!({
         "name": r.name.clone(),
         "executions": r.executions as u64,
@@ -141,7 +131,7 @@ pub fn report_to_json(r: &CheckReport) -> Value {
         "strategy": r.strategy.clone(),
         "pruned": r.pruned,
         "coverage_guided": r.coverage_guided,
-        "outcomes": Value::Object(outcomes),
+        "outcomes": r.outcomes.to_json(),
         "counterexamples": r.counterexamples.iter().map(cx_to_json).collect::<Vec<Value>>(),
         "per_pass": r
             .per_pass
@@ -156,7 +146,7 @@ pub fn report_to_json(r: &CheckReport) -> Value {
                     "failures": pm.failures,
                     "pruned": pm.pruned,
                     "coverage_guided": pm.coverage_guided,
-                    "busy_time_us": pm.busy_time.as_micros() as u64,
+                    "busy_time_us": pm.busy_us,
                 })
             })
             .collect::<Vec<Value>>(),
@@ -190,42 +180,30 @@ pub fn report_to_json(r: &CheckReport) -> Value {
     })
 }
 
-fn get<'a>(m: &'a Map, k: &str) -> Result<&'a Value, String> {
-    m.get(k).ok_or_else(|| format!("missing field {k:?}"))
+/// A required field: `get` (one of the shared `telemetry` getters)
+/// applied to `m[key]`, or an error naming the field.
+fn need<'a, T>(m: &'a Map, key: &str, get: fn(&'a Map, &str) -> Option<T>) -> Result<T, String> {
+    get(m, key).ok_or_else(|| format!("field {key:?}: missing or mistyped"))
 }
 
 fn get_u64(m: &Map, k: &str) -> Result<u64, String> {
-    match get(m, k)? {
-        Value::Number(n) if *n >= 0.0 => Ok(*n as u64),
-        v => Err(format!("field {k:?}: expected number, got {v:?}")),
-    }
+    need(m, k, u64_field)
 }
 
 fn get_str(m: &Map, k: &str) -> Result<String, String> {
-    match get(m, k)? {
-        Value::String(s) => Ok(s.clone()),
-        v => Err(format!("field {k:?}: expected string, got {v:?}")),
-    }
-}
-
-fn get_hex(m: &Map, k: &str) -> Result<u64, String> {
-    let s = get_str(m, k)?;
-    u64::from_str_radix(s.trim_start_matches("0x"), 16)
-        .map_err(|e| format!("field {k:?}: bad hex {s:?}: {e}"))
+    need(m, k, str_field).map(str::to_string)
 }
 
 fn get_arr<'a>(m: &'a Map, k: &str) -> Result<&'a [Value], String> {
-    match get(m, k)? {
-        Value::Array(items) => Ok(items),
-        v => Err(format!("field {k:?}: expected array, got {v:?}")),
-    }
+    need(m, k, arr_field)
 }
 
 fn get_obj<'a>(m: &'a Map, k: &str) -> Result<&'a Map, String> {
-    match get(m, k)? {
-        Value::Object(o) => Ok(o),
-        v => Err(format!("field {k:?}: expected object, got {v:?}")),
-    }
+    need(m, k, obj_field)
+}
+
+fn get<'a>(m: &'a Map, k: &str) -> Result<&'a Value, String> {
+    m.get(k).ok_or_else(|| format!("missing field {k:?}"))
 }
 
 fn num_array(items: &[Value], what: &str) -> Result<Vec<u64>, String> {
@@ -315,7 +293,7 @@ fn cx_from_json(v: &Value) -> Result<Counterexample, String> {
             .parse::<Pass>()
             .map_err(|e| e.to_string())?,
         index: get_u64(m, "index")?,
-        seed: get_hex(m, "seed")?,
+        seed: need(m, "seed", hex_field)?,
         schedule_prefix: num_array(get_arr(m, "schedule_prefix")?, "schedule_prefix")?
             .into_iter()
             .map(|v| v as usize)
@@ -347,6 +325,7 @@ pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
     };
     let mut r = CheckReport {
         name: get_str(m, "name")?,
+        strategy: get_str(m, "strategy")?,
         executions: get_u64(m, "executions")? as usize,
         total_steps: get_u64(m, "total_steps")?,
         crashes_injected: get_u64(m, "crashes_injected")? as usize,
@@ -358,22 +337,14 @@ pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
         disk_flushes: get_u64(m, "disk_flushes")?,
         net_sends: get_u64(m, "net_sends")?,
         net_recvs: get_u64(m, "net_recvs")?,
-        strategy: get_str(m, "strategy")?,
         pruned: get_u64(m, "pruned")?,
         coverage_guided: get_u64(m, "coverage_guided")?,
         replayed: get_u64(m, "replayed")?,
         workers: get_u64(m, "workers")? as usize,
+        outcomes: OutcomeCounts::from_json(get_obj(m, "outcomes")?)
+            .ok_or("outcomes: missing a bucket")?,
         ..CheckReport::default()
     };
-    let outcomes = get_obj(m, "outcomes")?;
-    r.outcomes.ok = get_u64(outcomes, "ok")?;
-    r.outcomes.violation = get_u64(outcomes, "violation")?;
-    r.outcomes.ub = get_u64(outcomes, "ub")?;
-    r.outcomes.bug = get_u64(outcomes, "bug")?;
-    r.outcomes.deadlock = get_u64(outcomes, "deadlock")?;
-    r.outcomes.final_check_failed = get_u64(outcomes, "final_check_failed")?;
-    r.outcomes.wedged = get_u64(outcomes, "wedged")?;
-    r.outcomes.harness_panic = get_u64(outcomes, "harness_panic")?;
     for cx in get_arr(m, "counterexamples")? {
         r.counterexamples.push(cx_from_json(cx)?);
     }
@@ -395,7 +366,8 @@ pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
             failures: get_u64(p, "failures")?,
             pruned: get_u64(p, "pruned")?,
             coverage_guided: get_u64(p, "coverage_guided")?,
-            busy_time: Duration::from_micros(get_u64(p, "busy_time_us")?),
+            busy_us: get_u64(p, "busy_time_us")?,
+            ..PassMetrics::default()
         });
     }
     r.steps_hist = hist_from_json(get_obj(m, "steps_hist")?)?;
@@ -412,12 +384,12 @@ pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
         .into_iter()
         .collect();
     for fp in get_arr(m, "trace_fps")? {
-        let Value::String(s) = fp else {
-            return Err(format!("trace_fps: expected hex string, got {fp:?}"));
+        let fp = match fp {
+            Value::String(s) => u64::from_str_radix(s.trim_start_matches("0x"), 16).ok(),
+            _ => None,
         };
-        let fp = u64::from_str_radix(s.trim_start_matches("0x"), 16)
-            .map_err(|e| format!("trace_fps {s:?}: {e}"))?;
-        r.trace_fps.insert(fp);
+        r.trace_fps
+            .insert(fp.ok_or("trace_fps: expected hex strings")?);
     }
     r.coverage.crash_points_exercised = r.crash_point_set.len() as u64;
     r.coverage.distinct_traces = r.trace_fps.len() as u64;
@@ -432,14 +404,8 @@ pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
         };
         r.incomplete.push(s.clone());
     }
-    r.wall_time = match get(m, "wall_time_s")? {
-        Value::Number(n) if *n >= 0.0 => Duration::from_secs_f64(*n),
-        v => return Err(format!("wall_time_s: expected number, got {v:?}")),
-    };
-    r.execs_per_sec = match get(m, "execs_per_sec")? {
-        Value::Number(n) => *n,
-        v => return Err(format!("execs_per_sec: expected number, got {v:?}")),
-    };
+    r.wall_time = Duration::from_secs_f64(need(m, "wall_time_s", f64_field)?.max(0.0));
+    r.execs_per_sec = need(m, "execs_per_sec", f64_field)?;
     // Lenient: reports serialized before the env stamp existed (or
     // hand-stripped ones) deserialize with an empty stamp.
     r.env = m
@@ -489,7 +455,7 @@ pub fn report_fingerprint(r: &CheckReport) -> u64 {
 
 /// Merges one [`CheckReport`] per shard (a complete `0..n` cover, all
 /// from the same scenario) into the report an unsharded run would have
-/// produced. See the module docs for the field-by-field rules.
+/// produced: the shards' folds merge by [`OutcomeFold::merge`].
 pub fn merge_reports(mut reports: Vec<CheckReport>) -> Result<CheckReport, String> {
     let Some(first) = reports.first() else {
         return Err("nothing to merge".to_string());
@@ -527,95 +493,18 @@ pub fn merge_reports(mut reports: Vec<CheckReport>) -> Result<CheckReport, Strin
         ));
     }
     reports.sort_by_key(|r| r.shard.map(|(i, _)| i));
-
-    let mut out = CheckReport {
+    // Shards of one campaign share a toolchain, so the first shard's
+    // stamp speaks for all (`finish` re-points it at the merged pool).
+    let mut fold = OutcomeFold::from(CheckReport {
         name,
         strategy: reports[0].strategy.clone(),
-        // The stamp survives the merge: shards of one campaign share a
-        // toolchain, so the first shard's block speaks for all (the
-        // worker count is re-pointed at the merged pool size below).
         env: reports[0].env.clone(),
         ..CheckReport::default()
-    };
-    let mut per_pass: BTreeMap<u8, PassMetrics> = BTreeMap::new();
+    });
     for r in &reports {
-        out.executions += r.executions;
-        out.total_steps += r.total_steps;
-        out.crashes_injected += r.crashes_injected;
-        out.crash_points += r.crash_points;
-        out.fault_plans += r.fault_plans;
-        out.helped_ops += r.helped_ops;
-        out.disk_reads += r.disk_reads;
-        out.disk_writes += r.disk_writes;
-        out.disk_flushes += r.disk_flushes;
-        out.net_sends += r.net_sends;
-        out.net_recvs += r.net_recvs;
-        out.wall_time += r.wall_time;
-        out.workers = out.workers.max(r.workers);
-        out.replayed += r.replayed;
-        // The schedule phase runs identically in every shard (it is
-        // derivation spine), so its session counters agree; max = any.
-        out.pruned = out.pruned.max(r.pruned);
-        out.coverage_guided = out.coverage_guided.max(r.coverage_guided);
-        out.outcomes.merge(&r.outcomes);
-        out.steps_hist.merge(&r.steps_hist);
-        out.depth_hist.merge(&r.depth_hist);
-        out.crash_point_set
-            .extend(r.crash_point_set.iter().copied());
-        out.trace_fps.extend(r.trace_fps.iter().copied());
-        out.counterexamples
-            .extend(r.counterexamples.iter().cloned());
-        for msg in &r.incomplete {
-            if !out.incomplete.contains(msg) {
-                out.incomplete.push(msg.clone());
-            }
-        }
-        // Exercised counts are per-owned-execution (disjoint across
-        // shards): sum. Enumerable horizons are probe-derived and agree
-        // across shards: max = any.
-        out.coverage.disk_fault_plans_exercised += r.coverage.disk_fault_plans_exercised;
-        out.coverage.torn_plans_exercised += r.coverage.torn_plans_exercised;
-        out.coverage.net_plans_exercised += r.coverage.net_plans_exercised;
-        out.coverage.crash_points_enumerable = out
-            .coverage
-            .crash_points_enumerable
-            .max(r.coverage.crash_points_enumerable);
-        out.coverage.disk_fault_plans_enumerable = out
-            .coverage
-            .disk_fault_plans_enumerable
-            .max(r.coverage.disk_fault_plans_enumerable);
-        out.coverage.torn_plans_enumerable = out
-            .coverage
-            .torn_plans_enumerable
-            .max(r.coverage.torn_plans_enumerable);
-        out.coverage.net_plans_enumerable = out
-            .coverage
-            .net_plans_enumerable
-            .max(r.coverage.net_plans_enumerable);
-        for pm in &r.per_pass {
-            let slot = per_pass.entry(pm.rank).or_insert(PassMetrics {
-                pass: pm.pass,
-                rank: pm.rank,
-                ..PassMetrics::default()
-            });
-            slot.executions += pm.executions;
-            slot.steps += pm.steps;
-            slot.crashes += pm.crashes;
-            slot.fault_plans += pm.fault_plans;
-            slot.failures += pm.failures;
-            slot.pruned = slot.pruned.max(pm.pruned);
-            slot.coverage_guided = slot.coverage_guided.max(pm.coverage_guided);
-            slot.busy_time += pm.busy_time;
-        }
+        fold.merge(r);
     }
-    out.coverage.crash_points_exercised = out.crash_point_set.len() as u64;
-    out.coverage.distinct_traces = out.trace_fps.len() as u64;
-    out.per_pass = per_pass.into_values().collect();
-    out.counterexamples.sort_by_key(|cx| cx.key());
-    out.counterexample = out.counterexamples.first().cloned();
-    out.execs_per_sec = out.executions as f64 / out.wall_time.as_secs_f64().max(1e-9);
-    out.env.workers = out.workers as u64;
-    Ok(out)
+    Ok(fold.finish())
 }
 
 #[cfg(test)]
@@ -635,15 +524,14 @@ mod tests {
     fn sample_report() -> CheckReport {
         let mut r = CheckReport {
             name: "demo".into(),
+            strategy: "exhaustive".into(),
             executions: 10,
             total_steps: 500,
             crashes_injected: 3,
             crash_points: 3,
             fault_plans: 2,
             helped_ops: 1,
-            strategy: "exhaustive".into(),
             pruned: 4,
-            coverage_guided: 0,
             workers: 8,
             replayed: 2,
             incomplete: vec!["execution budget of 10 exhausted".into()],
@@ -685,9 +573,8 @@ mod tests {
             crashes: 3,
             fault_plans: 2,
             failures: 1,
-            pruned: 0,
-            coverage_guided: 0,
-            busy_time: Duration::from_micros(1234),
+            busy_us: 1234,
+            ..PassMetrics::default()
         }];
         r
     }
@@ -725,7 +612,7 @@ mod tests {
         timed.workers = 1;
         timed.replayed = 0;
         timed.shard = Some((0, 2));
-        timed.per_pass[0].busy_time = Duration::ZERO;
+        timed.per_pass[0].busy_us = 0;
         assert_eq!(report_fingerprint(&r), report_fingerprint(&timed));
         let mut changed = r.clone();
         changed.total_steps += 1;

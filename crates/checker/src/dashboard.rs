@@ -5,154 +5,61 @@
 //! (see DESIGN.md §13). This module folds any number of those streams
 //! into a single [`Dashboard`] — per-scenario outcome grid across
 //! shards, coverage ratios, a per-pass wall-time profile (from the
-//! `pass_start`/`pass_end` timing records), the slowest scenarios, and
-//! pruning effectiveness — and renders it as text (`scan --dashboard`).
+//! `pass_start`/`pass_end` timing records), a deterministic per-pass
+//! cost profile, the slowest scenarios, and pruning effectiveness — and
+//! renders it as text (`scan --dashboard`).
 //!
-//! Totals come from `run_end` records only. Summing `exec_done` lines
-//! would double-count derivation-spine executions, which run in every
-//! shard but are *counted* only by their owner; the `run_end` totals
-//! already apply that rule, so dashboard totals agree with
-//! [`merge_reports`](crate::campaign::merge_reports) over the same
-//! shards. A resumed WAL holds several `run_start`/`run_end` pairs for
-//! the same shard: the last `run_end` wins (it covers the whole run,
-//! replayed prefix included), while pass wall times accumulate across
-//! resumes (wall-clock actually spent).
+//! Totals come from `run_end` records only, each read back as its
+//! shard's [`OutcomeFold`] and merged with [`OutcomeFold::merge`] — the
+//! rule [`merge_reports`](crate::campaign::merge_reports) applies, so
+//! dashboard totals agree with the merged report. Summing `exec_done`
+//! lines instead would double-count derivation-spine executions, which
+//! run in every shard but are *counted* only by their owner. A resumed
+//! WAL holds several `run_start`/`run_end` pairs for the same shard:
+//! the last `run_end` wins (it covers the whole run, replayed prefix
+//! included), while pass wall times accumulate across resumes
+//! (wall-clock actually spent). `run_end` carries no coverage sets, so
+//! the merged count of distinct crash points exercised is a lower bound
+//! (the most any one shard proved on its own).
 
+use crate::explore::CheckReport;
+use crate::fold::OutcomeFold;
+use crate::metrics::PassMetrics;
+use crate::profile::{bar, pct};
+use crate::telemetry::{parse_exec_done, parse_run_end, str_field, u64_field};
 use serde_json::Value;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-
-/// The last `run_end` record of one scenario shard stream.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardRun {
-    /// Whether the shard's verdict was a pass.
-    pub passed: bool,
-    /// Whether the run was marked incomplete (budget hit, stream error).
-    pub incomplete: bool,
-    /// Executions the shard finished.
-    pub executions: u64,
-    /// Scheduler grants summed over the shard's executions.
-    pub total_steps: u64,
-    /// Crashes the shard injected.
-    pub crashes_injected: u64,
-    /// Fault plans the shard exercised.
-    pub fault_plans: u64,
-    /// Counterexamples the shard recorded.
-    pub counterexamples: u64,
-    /// Distinct absolute-grant-count crash points exercised.
-    pub crash_points_exercised: u64,
-    /// Crash points the probe pass enumerated as reachable.
-    pub crash_points_enumerable: u64,
-    /// Fault plans exercised across all fault surfaces.
-    pub fault_plans_exercised: u64,
-    /// Fault plans enumerable across all fault surfaces.
-    pub fault_plans_enumerable: u64,
-    /// Executions pruned by the strategy (DPOR sleep sets).
-    pub pruned: u64,
-    /// Executions replayed from a WAL instead of re-run.
-    pub replayed: u64,
-    /// Wall-clock seconds, accumulated across resumes.
-    pub wall_time_s: f64,
-}
-
-/// One `exec_done` record's deterministic cost (dashboard profile feed).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ExecCostRow {
-    /// Pass name the execution ran under.
-    pub pass: String,
-    /// Scheduler grants the execution consumed.
-    pub steps: u64,
-    /// Crashes injected during the execution.
-    pub crashes: u64,
-    /// Times a thread blocked on a contended lock.
-    pub lock_blocks: u64,
-    /// Total disk operations.
-    pub disk_ops: u64,
-    /// Total network messages.
-    pub net_msgs: u64,
-}
 
 /// One scenario's view across every ingested stream.
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioDash {
-    /// Last `run_end` per shard label (`"-"` for unsharded runs).
-    pub shards: BTreeMap<String, ShardRun>,
+    /// The last `run_end` per shard label (`"-"` for unsharded runs),
+    /// read back as a partial report of that shard's totals.
+    pub shards: BTreeMap<String, CheckReport>,
     /// Summed `pass_end` wall time per `(rank, pass name)`.
     pub pass_wall_us: BTreeMap<(u64, String), u64>,
-    /// `exec_done` costs keyed by canonical job key `(rank, index)`.
-    /// Keying dedupes derivation-spine executions, which appear in every
-    /// shard's stream with identical deterministic statistics — so the
-    /// per-pass cost profile matches what an unsharded run would report.
-    pub exec_costs: BTreeMap<(u64, u64), ExecCostRow>,
+    /// `exec_done` records folded once per canonical job key: the
+    /// per-pass cost rows. Keying dedupes derivation-spine executions,
+    /// which appear in every shard's stream with identical statistics,
+    /// so the rows match what an unsharded run's profile reports.
+    costs: OutcomeFold,
+    seen: BTreeSet<(u8, u64)>,
 }
 
 impl ScenarioDash {
+    /// The shards' totals, merged.
+    pub fn merged(&self) -> CheckReport {
+        let mut fold = OutcomeFold::default();
+        for shard in self.shards.values() {
+            fold.merge(shard);
+        }
+        fold.report
+    }
+
     /// Whether every shard of this scenario passed.
     pub fn passed(&self) -> bool {
-        self.shards.values().all(|s| s.passed)
-    }
-
-    fn sum(&self, f: impl Fn(&ShardRun) -> u64) -> u64 {
-        self.shards.values().map(f).sum()
-    }
-
-    fn max(&self, f: impl Fn(&ShardRun) -> u64) -> u64 {
-        self.shards.values().map(f).max().unwrap_or(0)
-    }
-
-    /// Summed wall time across shards (and resumes), in seconds.
-    pub fn wall_time_s(&self) -> f64 {
-        self.shards.values().map(|s| s.wall_time_s).sum()
-    }
-
-    /// Merged executions, following the same rules as `merge_reports`:
-    /// counted statistics sum across shards; enumerable horizons are
-    /// probe-derived and agree across shards, so max = any.
-    pub fn executions(&self) -> u64 {
-        self.sum(|s| s.executions)
-    }
-    /// Summed scheduler grants across shards.
-    pub fn total_steps(&self) -> u64 {
-        self.sum(|s| s.total_steps)
-    }
-    /// Summed injected crashes across shards.
-    pub fn crashes_injected(&self) -> u64 {
-        self.sum(|s| s.crashes_injected)
-    }
-    /// Summed fault plans exercised across shards.
-    pub fn fault_plans(&self) -> u64 {
-        self.sum(|s| s.fault_plans)
-    }
-    /// Summed counterexamples across shards.
-    pub fn counterexamples(&self) -> u64 {
-        self.sum(|s| s.counterexamples)
-    }
-    /// Summed per-surface fault plans exercised across shards.
-    pub fn fault_plans_exercised(&self) -> u64 {
-        self.sum(|s| s.fault_plans_exercised)
-    }
-    /// Strategy-pruned executions (max: the spine is shared, not split).
-    pub fn pruned(&self) -> u64 {
-        self.max(|s| s.pruned)
-    }
-    /// Summed WAL-replayed executions across shards.
-    pub fn replayed(&self) -> u64 {
-        self.sum(|s| s.replayed)
-    }
-    /// Probe-enumerated crash-point horizon (agrees across shards).
-    pub fn crash_points_enumerable(&self) -> u64 {
-        self.max(|s| s.crash_points_enumerable)
-    }
-    /// Probe-enumerated fault-plan horizon (agrees across shards).
-    pub fn fault_plans_enumerable(&self) -> u64 {
-        self.max(|s| s.fault_plans_enumerable)
-    }
-
-    /// Distinct crash points across shards is not recoverable from
-    /// `run_end` alone (sets union, counts don't) — report the max as a
-    /// lower bound, exactly what one shard proved on its own.
-    pub fn crash_points_exercised_at_least(&self) -> u64 {
-        self.max(|s| s.crash_points_exercised)
+        self.shards.values().all(|s| s.outcomes.failures() == 0)
     }
 }
 
@@ -165,27 +72,6 @@ pub struct Dashboard {
     pub streams: u64,
     /// Unparseable lines skipped across all streams (torn WAL tails).
     pub torn_lines: u64,
-}
-
-fn f_u64(m: &serde_json::Map, k: &str) -> u64 {
-    match m.get(k) {
-        Some(Value::Number(n)) if *n >= 0.0 => *n as u64,
-        _ => 0,
-    }
-}
-
-fn f_f64(m: &serde_json::Map, k: &str) -> f64 {
-    match m.get(k) {
-        Some(Value::Number(n)) => *n,
-        _ => 0.0,
-    }
-}
-
-fn f_str(m: &serde_json::Map, k: &str) -> Option<String> {
-    match m.get(k) {
-        Some(Value::String(s)) => Some(s.clone()),
-        _ => None,
-    }
 }
 
 impl Dashboard {
@@ -206,98 +92,50 @@ impl Dashboard {
                 self.torn_lines += 1;
                 continue;
             };
-            let Some(ty) = f_str(&map, "type") else {
+            let Some(ty) = str_field(&map, "type") else {
                 self.torn_lines += 1;
                 continue;
             };
-            let Some(scenario) = scenario_hint
-                .map(str::to_string)
-                .or_else(|| f_str(&map, "scenario"))
-            else {
+            let Some(scenario) = scenario_hint.or_else(|| str_field(&map, "scenario")) else {
                 continue;
             };
-            match ty.as_str() {
+            if !matches!(ty, "run_end" | "pass_end" | "exec_done") {
+                continue;
+            }
+            let dash = self.scenarios.entry(scenario.to_string()).or_default();
+            match ty {
                 "run_end" => {
-                    let shard = f_str(&map, "shard").unwrap_or_else(|| "-".to_string());
-                    let run = ShardRun {
-                        passed: matches!(map.get("passed"), Some(Value::Bool(true))),
-                        incomplete: matches!(
-                            map.get("incomplete"),
-                            Some(Value::Array(v)) if !v.is_empty()
-                        ),
-                        executions: f_u64(&map, "executions"),
-                        total_steps: f_u64(&map, "total_steps"),
-                        crashes_injected: f_u64(&map, "crashes_injected"),
-                        fault_plans: f_u64(&map, "fault_plans"),
-                        counterexamples: f_u64(&map, "counterexamples"),
-                        crash_points_exercised: f_u64(&map, "crash_points_exercised"),
-                        crash_points_enumerable: f_u64(&map, "crash_points_enumerable"),
-                        fault_plans_exercised: f_u64(&map, "fault_plans_exercised"),
-                        fault_plans_enumerable: f_u64(&map, "fault_plans_enumerable"),
-                        pruned: f_u64(&map, "pruned"),
-                        replayed: f_u64(&map, "replayed"),
-                        wall_time_s: f_f64(&map, "wall_time_s"),
-                    };
+                    let shard = str_field(&map, "shard").unwrap_or("-");
                     // Last run_end per shard wins (resume appends runs).
-                    self.scenarios
-                        .entry(scenario)
-                        .or_default()
-                        .shards
-                        .insert(shard, run);
+                    dash.shards.insert(shard.to_string(), parse_run_end(&map));
                 }
                 "pass_end" => {
-                    let Some(pass) = f_str(&map, "pass") else {
+                    let Some(pass) = str_field(&map, "pass") else {
                         continue;
                     };
-                    let rank = f_u64(&map, "rank");
-                    *self
-                        .scenarios
-                        .entry(scenario)
-                        .or_default()
-                        .pass_wall_us
-                        .entry((rank, pass))
-                        .or_insert(0) += f_u64(&map, "duration_us");
+                    let key = (u64_field(&map, "rank").unwrap_or(0), pass.to_string());
+                    *dash.pass_wall_us.entry(key).or_insert(0) +=
+                        u64_field(&map, "duration_us").unwrap_or(0);
                 }
                 "exec_done" => {
-                    let Some(pass) = f_str(&map, "pass") else {
-                        continue;
-                    };
-                    let Ok(p) = pass.parse::<crate::Pass>() else {
-                        continue;
-                    };
-                    let key = (p.rank() as u64, f_u64(&map, "index"));
-                    self.scenarios
-                        .entry(scenario)
-                        .or_default()
-                        .exec_costs
-                        .insert(
-                            key,
-                            ExecCostRow {
-                                pass,
-                                steps: f_u64(&map, "steps"),
-                                crashes: f_u64(&map, "crashes"),
-                                lock_blocks: f_u64(&map, "lock_blocks"),
-                                disk_ops: f_u64(&map, "disk_ops"),
-                                net_msgs: f_u64(&map, "net_msgs"),
-                            },
-                        );
+                    if let Some(rec) = parse_exec_done(&map) {
+                        if dash.seen.insert(rec.key) {
+                            dash.costs.record(rec);
+                        }
+                    }
                 }
                 _ => {}
             }
         }
     }
 
-    /// Campaign-wide totals (executions, steps, counterexamples).
-    pub fn totals(&self) -> (u64, u64, u64) {
-        let mut execs = 0;
-        let mut steps = 0;
-        let mut cxs = 0;
+    /// Campaign-wide totals: every scenario's merged shards, merged.
+    pub fn totals(&self) -> CheckReport {
+        let mut fold = OutcomeFold::default();
         for s in self.scenarios.values() {
-            execs += s.executions();
-            steps += s.total_steps();
-            cxs += s.counterexamples();
+            fold.merge(&s.merged());
         }
-        (execs, steps, cxs)
+        fold.report
     }
 
     /// Per-pass wall profile summed over every scenario, rank order.
@@ -311,49 +149,23 @@ impl Dashboard {
         acc.into_iter().map(|((_, p), us)| (p, us)).collect()
     }
 
-    /// Per-pass deterministic cost profile summed over every scenario's
-    /// deduplicated `exec_done` records, rank order:
-    /// `(pass, executions, steps, crashes, lock_blocks, disk_ops, net_msgs)`.
-    #[allow(clippy::type_complexity)]
-    pub fn cost_profile(&self) -> Vec<(String, u64, u64, u64, u64, u64, u64)> {
-        let mut acc: BTreeMap<(u64, String), (u64, u64, u64, u64, u64, u64)> = BTreeMap::new();
+    /// Per-pass deterministic cost rows over every scenario's
+    /// deduplicated `exec_done` records, rank order.
+    pub fn cost_profile(&self) -> Vec<PassMetrics> {
+        let mut fold = OutcomeFold::default();
         for s in self.scenarios.values() {
-            for ((rank, _), c) in &s.exec_costs {
-                let e = acc.entry((*rank, c.pass.clone())).or_default();
-                e.0 += 1;
-                e.1 += c.steps;
-                e.2 += c.crashes;
-                e.3 += c.lock_blocks;
-                e.4 += c.disk_ops;
-                e.5 += c.net_msgs;
-            }
+            fold.merge(&s.costs.report);
         }
-        acc.into_iter()
-            .map(|((_, p), (e, st, cr, lb, d, n))| (p, e, st, cr, lb, d, n))
-            .collect()
+        fold.report.per_pass
     }
-}
-
-fn pct(part: u64, whole: u64) -> String {
-    if whole == 0 {
-        "  -".to_string()
-    } else {
-        format!("{:>3.0}%", 100.0 * part as f64 / whole as f64)
-    }
-}
-
-fn bar(part: u64, whole: u64, width: usize) -> String {
-    if whole == 0 {
-        return String::new();
-    }
-    let n = ((part as f64 / whole as f64) * width as f64).round() as usize;
-    "#".repeat(n.min(width))
 }
 
 /// Renders the merged campaign dashboard as text.
 pub fn render_dashboard(d: &Dashboard) -> String {
     let mut out = String::new();
-    let (execs, steps, cxs) = d.totals();
+    let totals = d.totals();
+    let (execs, steps) = (totals.executions, totals.total_steps);
+    let cxs = totals.outcomes.failures();
     let failing = d.scenarios.values().filter(|s| !s.passed()).count();
     writeln!(out, "CAMPAIGN DASHBOARD").unwrap();
     writeln!(
@@ -391,28 +203,29 @@ pub fn render_dashboard(d: &Dashboard) -> String {
             .shards
             .values()
             .map(|run| {
-                if !run.passed {
+                if run.outcomes.failures() > 0 {
                     'X'
-                } else if run.incomplete {
+                } else if !run.incomplete.is_empty() {
                     '!'
                 } else {
                     '.'
                 }
             })
             .collect();
+        let m = s.merged();
         let cov = format!(
             "crash {}/{} fault {}/{}",
-            s.crash_points_exercised_at_least(),
-            s.crash_points_enumerable(),
-            s.fault_plans_exercised(),
-            s.fault_plans_enumerable(),
+            m.coverage.crash_points_exercised,
+            m.coverage.crash_points_enumerable,
+            m.coverage.fault_plans_exercised(),
+            m.coverage.fault_plans_enumerable(),
         );
         writeln!(
             out,
             "    {name:<name_w$}  [{grid:<4}]  {:>7} execs  {:>9} steps  {:>2} cx  {cov}",
-            s.executions(),
-            s.total_steps(),
-            s.counterexamples(),
+            m.executions,
+            m.total_steps,
+            m.outcomes.failures(),
         )
         .unwrap();
     }
@@ -436,15 +249,22 @@ pub fn render_dashboard(d: &Dashboard) -> String {
     }
 
     let costs = d.cost_profile();
-    let cost_steps: u64 = costs.iter().map(|r| r.2).sum();
+    let cost_steps: u64 = costs.iter().map(|r| r.steps).sum();
     if cost_steps > 0 {
         writeln!(out, "  profile (deterministic cost per pass):").unwrap();
-        for (pass, execs, steps, crashes, lock_blocks, disk_ops, net_msgs) in &costs {
+        for r in &costs {
             writeln!(
                 out,
-                "    {pass:<18} {execs:>7} execs {steps:>10} steps  {} {}  ({crashes} crashes, {lock_blocks} blocks, {disk_ops} disk ops, {net_msgs} net msgs)",
-                pct(*steps, cost_steps),
-                bar(*steps, cost_steps, 24),
+                "    {:<18} {:>7} execs {:>10} steps  {} {}  ({} crashes, {} blocks, {} disk ops, {} net msgs)",
+                r.pass,
+                r.executions,
+                r.steps,
+                pct(r.steps, cost_steps),
+                bar(r.steps, cost_steps, 24),
+                r.crashes,
+                r.lock_blocks,
+                r.disk_ops,
+                r.net_msgs,
             )
             .unwrap();
         }
@@ -454,7 +274,7 @@ pub fn render_dashboard(d: &Dashboard) -> String {
     let mut slowest: Vec<(&String, f64)> = d
         .scenarios
         .iter()
-        .map(|(n, s)| (n, s.wall_time_s()))
+        .map(|(n, s)| (n, s.merged().wall_time.as_secs_f64()))
         .collect();
     slowest.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
     writeln!(out, "  slowest scenarios:").unwrap();
@@ -463,11 +283,13 @@ pub fn render_dashboard(d: &Dashboard) -> String {
     }
     out.push('\n');
 
-    let pruned: u64 = d.scenarios.values().map(|s| s.pruned()).sum();
-    let replayed: u64 = d.scenarios.values().map(|s| s.replayed()).sum();
+    // Pruning is a per-scenario session counter (max across shards); the
+    // campaign line sums it over scenarios, like every other total.
+    let pruned: u64 = d.scenarios.values().map(|s| s.merged().pruned).sum();
     writeln!(
         out,
-        "  pruning: {pruned} schedules pruned; {replayed} executions replayed from WALs"
+        "  pruning: {pruned} schedules pruned; {} executions replayed from WALs",
+        totals.replayed
     )
     .unwrap();
     out
@@ -483,6 +305,9 @@ mod tests {
                 "{{\"type\": \"run_end\", \"scenario\": {s:?}, \"shard\": {sh:?}, ",
                 "\"passed\": {p}, \"executions\": {e}, \"total_steps\": {st}, ",
                 "\"counterexamples\": {cx}, \"crashes_injected\": 3, ",
+                "\"outcomes\": {{\"ok\": {ok}, \"violation\": {cx}, \"ub\": 0, ",
+                "\"bug\": 0, \"deadlock\": 0, \"final_check_failed\": 0, ",
+                "\"wedged\": 0, \"harness_panic\": 0}}, ",
                 "\"crash_points_exercised\": 4, \"crash_points_enumerable\": 8, ",
                 "\"pruned\": 7, \"replayed\": 2, \"wall_time_s\": 0.25, ",
                 "\"incomplete\": []}}"
@@ -492,6 +317,7 @@ mod tests {
             p = passed,
             e = execs,
             st = execs * 10,
+            ok = execs - u64::from(!passed),
             cx = u64::from(!passed),
         )
     }
@@ -502,14 +328,17 @@ mod tests {
         d.ingest(None, &run_end_line("s", "0/2", 100, true));
         d.ingest(None, &run_end_line("s", "1/2", 50, false));
         let s = &d.scenarios["s"];
-        assert_eq!(s.executions(), 150);
-        assert_eq!(s.total_steps(), 1500);
-        assert_eq!(s.counterexamples(), 1);
-        assert_eq!(s.crash_points_enumerable(), 8);
-        assert_eq!(s.pruned(), 7, "spine counters agree across shards: max");
-        assert_eq!(s.replayed(), 4);
+        let m = s.merged();
+        assert_eq!(m.executions, 150);
+        assert_eq!(m.total_steps, 1500);
+        assert_eq!(m.outcomes.failures(), 1);
+        assert_eq!(m.coverage.crash_points_enumerable, 8);
+        assert_eq!(m.coverage.crash_points_exercised, 4, "a lower bound");
+        assert_eq!(m.pruned, 7, "spine counters agree across shards: max");
+        assert_eq!(m.replayed, 4);
         assert!(!s.passed());
-        assert_eq!(d.totals(), (150, 1500, 1));
+        let t = d.totals();
+        assert_eq!((t.executions, t.total_steps), (150, 1500));
     }
 
     #[test]
@@ -521,7 +350,7 @@ mod tests {
             run_end_line("s", "0/2", 100, true),
         );
         d.ingest(None, &text);
-        assert_eq!(d.scenarios["s"].executions(), 100);
+        assert_eq!(d.scenarios["s"].merged().executions, 100);
         assert!(d.scenarios["s"].passed());
     }
 
@@ -545,7 +374,8 @@ mod tests {
             concat!(
                 "{{\"type\": \"exec_done\", \"scenario\": {s:?}, \"pass\": {p:?}, ",
                 "\"index\": {i}, \"outcome\": \"ok\", \"steps\": {st}, \"crashes\": 1, ",
-                "\"lock_blocks\": 2, \"disk_ops\": 3, \"net_msgs\": 4}}"
+                "\"lock_blocks\": 2, \"disk_ops\": 3, \"net_msgs\": 4, ",
+                "\"trace_fp\": \"0x0000000000000001\"}}"
             ),
             s = scenario,
             p = pass,
@@ -568,11 +398,14 @@ mod tests {
         d.ingest(None, &text);
         let costs = d.cost_profile();
         assert_eq!(costs.len(), 1);
-        let (ref pass, execs, steps, crashes, lock_blocks, disk_ops, net_msgs) = costs[0];
-        assert_eq!(pass, "dfs");
-        assert_eq!(execs, 2, "duplicate (rank, index) must collapse");
-        assert_eq!(steps, 30);
-        assert_eq!((crashes, lock_blocks, disk_ops, net_msgs), (2, 4, 6, 8));
+        let r = &costs[0];
+        assert_eq!(r.pass, "dfs");
+        assert_eq!(r.executions, 2, "duplicate (rank, index) must collapse");
+        assert_eq!(r.steps, 30);
+        assert_eq!(
+            (r.crashes, r.lock_blocks, r.disk_ops, r.net_msgs),
+            (2, 4, 6, 8)
+        );
         let text = render_dashboard(&d);
         assert!(
             text.contains("profile (deterministic cost per pass)"),

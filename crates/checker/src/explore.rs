@@ -38,14 +38,18 @@
 //! failure is collected into [`CheckReport::counterexamples`], sorted by
 //! canonical key.
 
+use crate::fold::{ExecRecord, ExecStats, FaultFamily, OutcomeFold};
 use crate::harness::{Harness, World};
 use crate::metrics::{
     trace_fingerprint, Coverage, Histogram, OutcomeCounts, OutcomeKind, PassMetrics,
 };
 use crate::pass::{Pass, PassSet};
-use crate::strategy::{DepTrace, Exhaustive, ObservedExec, ScheduleSpec, Strategy};
-use crate::telemetry::{self, RunTelemetry, TelemetrySink};
-use goose_rt::fault::{FaultPlan, NetFault, TornMode};
+use crate::profile::{Profile, StrategyProfile};
+use crate::strategy::{
+    DepTrace, Exhaustive, ObservedExec, ScheduleSpec, Strategy, StrategySession,
+};
+use crate::telemetry::{self, EnvStamp, RunTelemetry, TelemetrySink};
+use goose_rt::fault::{FaultPlan, FaultSurface, NetFault, TornMode};
 use goose_rt::sched::{quiet_worker_panics, res, ModelRt, PanicKind, StepAccess, StepResult, Tid};
 use goose_rt::trace::{ExecTrace, TraceKind};
 use parking_lot::Mutex;
@@ -53,6 +57,8 @@ use perennial::{Ghost, GhostError};
 use perennial_spec::SpecTS;
 use serde_json::Value;
 use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -135,7 +141,7 @@ pub struct CheckConfig {
     /// exploration itself always runs untraced, the re-run emits no
     /// telemetry, and report fingerprints are identical either way.
     pub trace_capture: bool,
-    /// Build a [`Profile`](crate::profile::Profile) (per-pass cost attribution, resource
+    /// Build a [`Profile`] (per-pass cost attribution, resource
     /// contention, strategy introspection, worker utilization) and
     /// attach it as [`CheckReport::profile`] (default off). Pure side
     /// channel: the profile is aggregated from counters the check
@@ -613,19 +619,48 @@ impl CheckReport {
 }
 
 /// Schedule policy for one execution.
+#[derive(Debug, Clone)]
 enum Policy {
     /// Deterministic: follow the recorded prefix, then always pick the
-    /// first runnable (DFS order).
-    DfsPrefix(Vec<usize>),
+    /// first runnable (DFS order). With `track_deps`, the runtime records
+    /// each grant's dependency footprint for partial-order reduction.
+    Dfs {
+        prefix: Vec<usize>,
+        track_deps: bool,
+    },
     /// Round-robin over runnable threads.
     RoundRobin,
     /// Replay the (possibly empty) decision prefix, then seeded
     /// pseudo-random choice.
-    Random { seed: u64, prefix: Vec<usize> },
+    Random { prefix: Vec<usize> },
 }
 
-struct ScheduleState {
-    policy: Policy,
+impl Policy {
+    /// The decision prefix the policy replays before its own choices.
+    fn prefix(&self) -> &[usize] {
+        match self {
+            Policy::Dfs { prefix, .. } | Policy::Random { prefix } => prefix,
+            Policy::RoundRobin => &[],
+        }
+    }
+}
+
+impl From<&ScheduleSpec> for Policy {
+    fn from(spec: &ScheduleSpec) -> Self {
+        match spec {
+            ScheduleSpec::Dfs { prefix, track_deps } => Policy::Dfs {
+                prefix: prefix.clone(),
+                track_deps: *track_deps,
+            },
+            ScheduleSpec::Random { prefix } => Policy::Random {
+                prefix: prefix.clone(),
+            },
+        }
+    }
+}
+
+struct ScheduleState<'p> {
+    policy: &'p Policy,
     /// (choice index, number of runnable options) per decision.
     decisions: Vec<(usize, usize)>,
     /// Decision depths where a replayed prefix index was out of range.
@@ -634,50 +669,37 @@ struct ScheduleState {
     rng: u64,
 }
 
-impl ScheduleState {
-    fn new(policy: Policy) -> Self {
-        let rng = match &policy {
-            Policy::Random { seed, .. } => *seed | 1,
-            _ => 1,
-        };
+impl<'p> ScheduleState<'p> {
+    fn new(policy: &'p Policy, seed: u64) -> Self {
         ScheduleState {
             policy,
             decisions: Vec::new(),
             clamped: Vec::new(),
             rr_next: 0,
-            rng,
+            rng: seed | 1,
         }
     }
 
     fn choose(&mut self, runnable: &[Tid]) -> Tid {
         let n = runnable.len();
         let d = self.decisions.len();
-        let idx = match &self.policy {
-            Policy::DfsPrefix(prefix) => {
-                if d < prefix.len() {
-                    if prefix[d] >= n {
-                        // Out-of-range prefix entry: the prefix came from
-                        // a run that had more runnable threads here.
-                        // Record the clamp so reports can surface it.
-                        self.clamped.push(d);
-                    }
-                    prefix[d].min(n - 1)
-                } else {
-                    0
+        let prefix = self.policy.prefix();
+        let idx = if d < prefix.len() {
+            if prefix[d] >= n {
+                // Out-of-range prefix entry: the prefix came from a run
+                // that had more runnable threads here. Record the clamp
+                // so reports can surface it.
+                self.clamped.push(d);
+            }
+            prefix[d].min(n - 1)
+        } else {
+            match self.policy {
+                Policy::Dfs { .. } => 0,
+                Policy::RoundRobin => {
+                    self.rr_next += 1;
+                    (self.rr_next - 1) % n
                 }
-            }
-            Policy::RoundRobin => {
-                let idx = self.rr_next % n;
-                self.rr_next += 1;
-                idx
-            }
-            Policy::Random { prefix, .. } => {
-                if d < prefix.len() {
-                    if prefix[d] >= n {
-                        self.clamped.push(d);
-                    }
-                    prefix[d].min(n - 1)
-                } else {
+                Policy::Random { .. } => {
                     // xorshift64*
                     self.rng ^= self.rng << 13;
                     self.rng ^= self.rng >> 7;
@@ -701,31 +723,13 @@ enum Phase {
 
 struct RunResult {
     outcome: ExecOutcome,
+    stats: ExecStats,
     decisions: Vec<(usize, usize)>,
     clamped: Vec<usize>,
-    steps: u64,
-    crashes: usize,
-    helped: u64,
-    /// Disk operations attempted (fault-sweep probes use this as the
-    /// transient-error enumeration horizon).
-    disk_ops: u64,
-    /// Network messages sent (net-fault-sweep enumeration horizon).
-    net_msgs: u64,
-    /// Times a thread parked on a held lock (sched contention counter).
-    lock_blocks: u64,
-    /// Per-lock share of `lock_blocks` (`ModelRt::lock_block_profile`),
-    /// consumed by the profiler's resource-contention table.
+    /// Per-lock share of `stats.lock_blocks`
+    /// (`ModelRt::lock_block_profile`), consumed by the profiler's
+    /// resource-contention table.
     lock_profile: Vec<(u64, u64)>,
-    /// FNV-1a fingerprint of the rendered ghost trace (behavioural
-    /// coverage proxy).
-    trace_fp: u64,
-    /// Model-op accounting from [`SchedStats`]: block reads, block
-    /// writes, flush barriers, net sends, net receives.
-    disk_reads: u64,
-    disk_writes: u64,
-    disk_flushes: u64,
-    net_sends: u64,
-    net_recvs: u64,
     /// Wall time of this single execution (telemetry only).
     duration: Duration,
     trace: String,
@@ -735,13 +739,31 @@ struct RunResult {
     exec_trace: Option<ExecTrace>,
 }
 
+/// The runtime's lock and model-op counters ([`goose_rt::SchedStats`]);
+/// the caller fills in steps, depth, crashes, helping, and the trace
+/// fingerprint.
+fn model_counters(rt: &ModelRt) -> ExecStats {
+    let s = rt.sched_stats();
+    ExecStats {
+        lock_blocks: s.lock_blocks,
+        disk_ops: s.disk_ops,
+        net_msgs: s.net_msgs,
+        disk_reads: s.disk_reads,
+        disk_writes: s.disk_writes,
+        disk_flushes: s.disk_flushes,
+        net_sends: s.net_sends,
+        net_recvs: s.net_recvs,
+        ..ExecStats::default()
+    }
+}
+
 /// Runs one execution under `policy`, injecting crashes at the given
-/// absolute grant counts and faults per `faults`. With `track_deps`, the
-/// runtime records each grant's dependency footprint and the result
-/// carries a [`DepTrace`] for partial-order reduction. With
-/// `capture_trace`, the runtime's causal recorder is on and the result
-/// carries an [`ExecTrace`] — a pure observer that changes no counter,
-/// schedule, or fault index.
+/// absolute grant counts and faults per `faults`. A DFS policy with
+/// `track_deps` makes the runtime record each grant's dependency
+/// footprint, and the result carries a [`DepTrace`] for partial-order
+/// reduction. With `capture_trace`, the runtime's causal recorder is on
+/// and the result carries an [`ExecTrace`] — a pure observer that changes
+/// no counter, schedule, or fault index.
 ///
 /// The execution is **isolated**: the harness body runs under
 /// `catch_unwind`, so a panicking harness hook becomes an
@@ -749,30 +771,21 @@ struct RunResult {
 /// and any virtual threads a failed or panicked execution left parked
 /// are unwound and joined before returning (no OS-thread leaks across a
 /// long keep-going campaign).
-#[allow(clippy::too_many_arguments)]
 fn run_one<S: SpecTS, H: Harness<S>>(
     harness: &H,
-    policy: Policy,
+    policy: &Policy,
     crash_points: &[u64],
     faults: &FaultPlan,
     seed: u64,
     max_steps: u64,
-    track_deps: bool,
     capture_trace: bool,
 ) -> RunResult {
     let rt = ModelRt::with_faults(seed, max_steps, faults.clone());
     let run_started = Instant::now();
     let result = quiet_worker_panics(|| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_one_inner(
-                harness,
-                &rt,
-                policy,
-                crash_points,
-                faults,
-                track_deps,
-                capture_trace,
-            )
+            let sched = ScheduleState::new(policy, seed);
+            run_one_inner(harness, &rt, sched, crash_points, faults, capture_trace)
         }))
     });
     match result {
@@ -788,24 +801,16 @@ fn run_one<S: SpecTS, H: Harness<S>>(
         Err(payload) => {
             rt.crash_all();
             rt.join_all();
-            let stats = rt.sched_stats();
             RunResult {
                 outcome: ExecOutcome::HarnessPanic(panic_message(payload)),
+                stats: ExecStats {
+                    steps: rt.sched_stats().steps,
+                    trace_fp: trace_fingerprint(""),
+                    ..model_counters(&rt)
+                },
                 decisions: Vec::new(),
                 clamped: Vec::new(),
-                steps: stats.steps,
-                crashes: 0,
-                helped: 0,
-                disk_ops: stats.disk_ops,
-                net_msgs: stats.net_msgs,
-                lock_blocks: stats.lock_blocks,
                 lock_profile: rt.lock_block_profile(),
-                trace_fp: trace_fingerprint(""),
-                disk_reads: stats.disk_reads,
-                disk_writes: stats.disk_writes,
-                disk_flushes: stats.disk_flushes,
-                net_sends: stats.net_sends,
-                net_recvs: stats.net_recvs,
                 duration: run_started.elapsed(),
                 trace: String::new(),
                 deps: None,
@@ -829,12 +834,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 fn run_one_inner<S: SpecTS, H: Harness<S>>(
     harness: &H,
     rt: &Arc<ModelRt>,
-    policy: Policy,
+    mut sched: ScheduleState<'_>,
     crash_points: &[u64],
     faults: &FaultPlan,
-    track_deps: bool,
     capture_trace: bool,
 ) -> RunResult {
+    let track_deps = matches!(
+        sched.policy,
+        Policy::Dfs {
+            track_deps: true,
+            ..
+        }
+    );
     let rt = Arc::clone(rt);
     rt.set_track_deps(track_deps);
     rt.set_tracing(capture_trace);
@@ -849,9 +860,8 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
         rt.spawn(name, body);
     }
 
-    let mut sched = ScheduleState::new(policy);
     let mut steps: u64 = 0;
-    let mut crashes = 0usize;
+    let mut crashes: u64 = 0;
     let mut crash_iter = crash_points.iter().copied().peekable();
     let mut disk_fail = faults.disk_fail;
     let mut phase = Phase::Main;
@@ -889,31 +899,23 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
 
     let run_started = Instant::now();
     let finish = |outcome: ExecOutcome,
-                  sched: &ScheduleState,
+                  sched: ScheduleState<'_>,
                   steps: u64,
-                  crashes: usize,
-                  rt: &Arc<ModelRt>,
-                  ghost: &Arc<Ghost<S>>,
+                  crashes: u64,
                   deps: Option<DepTrace>| {
-        let stats = rt.sched_stats();
         let trace = ghost.trace().render();
         RunResult {
             outcome,
-            decisions: sched.decisions.clone(),
-            clamped: sched.clamped.clone(),
-            steps,
-            crashes,
-            helped: 0,
-            disk_ops: stats.disk_ops,
-            net_msgs: stats.net_msgs,
-            lock_blocks: stats.lock_blocks,
+            stats: ExecStats {
+                steps,
+                depth: sched.decisions.len() as u64,
+                crashes,
+                trace_fp: trace_fingerprint(&trace),
+                ..model_counters(&rt)
+            },
+            decisions: sched.decisions,
+            clamped: sched.clamped,
             lock_profile: rt.lock_block_profile(),
-            trace_fp: trace_fingerprint(&trace),
-            disk_reads: stats.disk_reads,
-            disk_writes: stats.disk_writes,
-            disk_flushes: stats.disk_flushes,
-            net_sends: stats.net_sends,
-            net_recvs: stats.net_recvs,
             duration: run_started.elapsed(),
             trace,
             deps,
@@ -961,15 +963,7 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
                 // Pending crash points beyond the end are simply unused.
                 break;
             }
-            return finish(
-                ExecOutcome::Deadlock,
-                &sched,
-                steps,
-                crashes,
-                &rt,
-                &ghost,
-                dep.take(),
-            );
+            return finish(ExecOutcome::Deadlock, sched, steps, crashes, dep.take());
         }
         let tid = sched.choose(&runnable);
         // Snapshot immediately before the grant so controller-side ghost
@@ -994,8 +988,8 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
             dep.runnables.push(runnable.clone());
             dep.accesses.push(acc);
         }
-        match step {
-            StepResult::Yielded | StepResult::Blocked => {}
+        let failed = match step {
+            StepResult::Yielded | StepResult::Blocked => None,
             StepResult::Finished => {
                 if phase == Phase::Recovering && recovery_tid == Some(tid) {
                     phase = Phase::After;
@@ -1006,57 +1000,23 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
                         }
                     }
                 }
+                None
             }
-            StepResult::Panicked(PanicKind::Ghost(e)) => {
-                return finish(
-                    ExecOutcome::Violation(e),
-                    &sched,
-                    steps,
-                    crashes,
-                    &rt,
-                    &ghost,
-                    dep.take(),
-                );
-            }
-            StepResult::Panicked(PanicKind::Ub(msg)) => {
-                return finish(
-                    ExecOutcome::Ub(msg),
-                    &sched,
-                    steps,
-                    crashes,
-                    &rt,
-                    &ghost,
-                    dep.take(),
-                );
-            }
-            StepResult::Panicked(PanicKind::Other(msg)) => {
-                return finish(
-                    ExecOutcome::Bug(msg),
-                    &sched,
-                    steps,
-                    crashes,
-                    &rt,
-                    &ghost,
-                    dep.take(),
-                );
-            }
+            StepResult::Panicked(PanicKind::Ghost(e)) => Some(ExecOutcome::Violation(e)),
+            StepResult::Panicked(PanicKind::Ub(msg)) => Some(ExecOutcome::Ub(msg)),
+            StepResult::Panicked(PanicKind::Other(msg)) => Some(ExecOutcome::Bug(msg)),
+            // Deterministic stall watchdog: the execution burned its
+            // whole step budget without finishing.
             StepResult::Panicked(PanicKind::StepBudget(budget)) => {
-                // Deterministic stall watchdog: the execution burned its
-                // whole step budget without finishing.
-                return finish(
-                    ExecOutcome::Wedged(budget),
-                    &sched,
-                    steps,
-                    crashes,
-                    &rt,
-                    &ghost,
-                    dep.take(),
-                );
+                Some(ExecOutcome::Wedged(budget))
             }
             StepResult::Panicked(PanicKind::CrashUnwind) => {
                 // Only reachable via crash_all, which we drive ourselves.
                 unreachable!("crash unwind surfaced outside crash injection");
             }
+        };
+        if let Some(outcome) = failed {
+            return finish(outcome, sched, steps, crashes, dep.take());
         }
     }
     rt.join_all();
@@ -1076,8 +1036,8 @@ fn run_one_inner<S: SpecTS, H: Harness<S>>(
         Err(e) => (ExecOutcome::Violation(e), 0),
     };
     drain_spec(None);
-    let mut r = finish(outcome, &sched, steps, crashes, &rt, &ghost, dep.take());
-    r.helped = helped;
+    let mut r = finish(outcome, sched, steps, crashes, dep.take());
+    r.stats.helped = helped;
     r
 }
 
@@ -1116,24 +1076,12 @@ enum JobKind {
     ProbeThenCrash,
 }
 
-enum PolicySpec {
-    Dfs {
-        prefix: Vec<usize>,
-        track_deps: bool,
-    },
-    RoundRobin,
-    Random {
-        prefix: Vec<usize>,
-    },
-}
-
+/// One unit of scheduled work, keyed `(pass.rank(), index)`.
 struct Job {
-    key: JobKey,
     pass: Pass,
-    policy: PolicySpec,
+    index: u64,
+    policy: Policy,
     crash_points: Vec<u64>,
-    /// Distinct crash points this job sweeps (for the report counter).
-    swept: usize,
     /// The fault plan injected into this job's execution.
     faults: FaultPlan,
     kind: JobKind,
@@ -1146,121 +1094,87 @@ struct Job {
 
 impl Job {
     /// A fault-free single execution (the common case).
-    fn plain(key: JobKey, pass: Pass, policy: PolicySpec) -> Job {
+    fn new(pass: Pass, index: u64, policy: Policy) -> Job {
         Job {
-            key,
             pass,
+            index,
             policy,
             crash_points: Vec::new(),
-            swept: 0,
             faults: FaultPlan::default(),
             kind: JobKind::Single,
             probe: false,
         }
     }
-}
 
-/// Which fault surface a plan exercises (coverage accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FaultFamily {
-    None,
-    Disk,
-    Torn,
-    Net,
-}
-
-impl FaultFamily {
-    fn of(plan: &FaultPlan) -> Self {
-        if !plan.transient_io.is_empty() || plan.disk_fail.is_some() {
-            FaultFamily::Disk
-        } else if plan.torn.is_some() {
-            FaultFamily::Torn
-        } else if !plan.net.is_empty() {
-            FaultFamily::Net
-        } else {
-            FaultFamily::None
-        }
+    fn key(&self) -> JobKey {
+        (self.pass.rank(), self.index)
     }
 }
 
-struct JobOutcome {
-    key: JobKey,
-    pass: Pass,
-    steps: u64,
-    crashes: usize,
-    helped: u64,
-    swept: usize,
-    /// Fault plans this job swept (1 for fault-injection jobs).
-    plans: usize,
-    /// Which surface the job's plan exercised (coverage accounting).
-    family: FaultFamily,
-    /// Disk ops / net messages of the execution (probe horizons).
-    disk_ops: u64,
-    net_msgs: u64,
-    /// Lock contention: total parks and the per-lock split (profiler
-    /// feed; the split is empty for WAL-replayed outcomes).
-    lock_blocks: u64,
-    lock_profile: Vec<(u64, u64)>,
-    /// Model-op accounting (report totals; recorded in the WAL so
-    /// resumed totals match cold ones).
-    disk_reads: u64,
-    disk_writes: u64,
-    disk_flushes: u64,
-    net_sends: u64,
-    net_recvs: u64,
-    /// How the execution ended (outcome histogram feed).
-    kind: OutcomeKind,
-    /// Schedule decisions taken (depth histogram feed).
-    depth: u64,
-    /// Crash points this execution injected (coverage accounting).
-    crash_points: Vec<u64>,
-    /// Ghost-trace fingerprint (behavioural coverage feed).
-    trace_fp: u64,
-    /// Wall time of the execution (telemetry only; the lone
-    /// non-deterministic field here).
-    duration: Duration,
-    /// Full decision path — kept for schedule-phase jobs (strategy
-    /// feedback: tree expansion, coverage corpora).
-    decisions: Vec<(usize, usize)>,
-    /// Dependency observations (DPOR-tracked jobs only).
-    deps: Option<DepTrace>,
-    cx: Option<Counterexample>,
-    /// Whether this shard owns the job key. Spine executions (schedule
-    /// phase, probes) run everywhere but count toward statistics and
-    /// counterexample selection only in the owning shard, which is what
-    /// makes shard reports exactly summable.
-    counted: bool,
+/// One crash or fault coordinate of a sweep: the crash points to inject
+/// and the fault plan to run under.
+type SweepPoint = (Vec<u64>, FaultPlan);
+
+/// Round-robin sweep jobs, one per point, indexed from `first` in order.
+fn sweep_jobs(pass: Pass, first: u64, points: impl IntoIterator<Item = SweepPoint>) -> Vec<Job> {
+    points
+        .into_iter()
+        .zip(first..)
+        .map(|((crash_points, faults), index)| Job {
+            crash_points,
+            faults,
+            ..Job::new(pass, index, Policy::RoundRobin)
+        })
+        .collect()
 }
 
-/// Per-run exploration context: shard ownership and the WAL replay map.
-struct ExploreCtx {
-    shard: Option<(u32, u32)>,
-    /// Completed `ok` executions from the resume WAL, keyed by job key.
-    replay: BTreeMap<JobKey, telemetry::WalExec>,
-    /// Whether the nested crash sweep is enabled (it promotes the
-    /// first-level crash sweep into the derivation spine: nested job
-    /// enumeration needs every rank-3 step count).
-    nested_on: bool,
-    /// Executions satisfied from the WAL instead of run.
-    replayed: AtomicU64,
+/// Permanent failure of each disk of a two-disk device at every grant
+/// count in `grants`, after the given crash points.
+fn disk_failures(crash: Vec<u64>, grants: Range<u64>) -> impl Iterator<Item = SweepPoint> {
+    grants.flat_map(move |g| {
+        [1u8, 2].map(|d| {
+            let faults = FaultPlan {
+                disk_fail: Some((d, g)),
+                ..FaultPlan::default()
+            };
+            (crash.clone(), faults)
+        })
+    })
 }
 
-impl ExploreCtx {
-    fn owns(&self, key: JobKey) -> bool {
-        match self.shard {
-            None => true,
-            Some((i, n)) => shard_of(key, n) == i,
-        }
-    }
+/// Rank 8: at every crash point of the baseline schedule, a crash that
+/// persists none or a pseudo-random subset of the unflushed write buffer
+/// (persisting *all* of it is exactly the plain crash sweep).
+fn torn_write_points(probe: &ExecStats) -> Vec<SweepPoint> {
+    const MODES: [TornMode; 3] = [TornMode::KeepNone, TornMode::Subset(0), TornMode::Subset(1)];
+    (0..probe.steps)
+        .flat_map(|k| {
+            MODES.map(|mode| {
+                let faults = FaultPlan {
+                    torn: Some(mode),
+                    ..FaultPlan::default()
+                };
+                (vec![k], faults)
+            })
+        })
+        .collect()
+}
 
-    /// Whether every shard must *execute* this job even when it does
-    /// not own it: its result feeds deterministic job derivation or
-    /// strategy feedback, which must be identical across shards.
-    fn is_spine(&self, job: &Job) -> bool {
-        job.probe
-            || matches!(job.pass, Pass::Dfs | Pass::Random)
-            || (job.pass == Pass::CrashSweep && self.nested_on)
-    }
+/// Rank 9: drop, duplicate, or delay each message of the baseline
+/// schedule, one fault per execution.
+fn net_fault_points(probe: &ExecStats) -> Vec<SweepPoint> {
+    const FAULTS: [NetFault; 3] = [NetFault::Drop, NetFault::Duplicate, NetFault::Delay];
+    (0..probe.net_msgs)
+        .flat_map(|m| {
+            FAULTS.map(|fault| {
+                let faults = FaultPlan {
+                    net: [(m, fault)].into(),
+                    ..FaultPlan::default()
+                };
+                (Vec::new(), faults)
+            })
+        })
+        .collect()
 }
 
 /// Shared cancellation state: the minimum-key counterexample found so
@@ -1302,381 +1216,171 @@ impl Cancel {
         self.stop.store(true, Ordering::Relaxed);
     }
 
-    fn any_failure(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
-    }
-
     /// Whether the exploration should stop scheduling further phases:
     /// a failure has been found and the config asked for early exit.
     fn cancelled(&self) -> bool {
-        !self.keep_going && self.any_failure()
+        !self.keep_going && self.stop.load(Ordering::Relaxed)
     }
 }
 
-fn make_counterexample(
-    r: &RunResult,
-    pass: Pass,
-    index: u64,
-    seed: u64,
-    schedule_prefix: Vec<usize>,
-    crash_points: Vec<u64>,
-    faults: FaultPlan,
-) -> Counterexample {
-    Counterexample {
-        outcome: r.outcome.clone(),
-        pass,
-        index,
-        seed,
-        schedule_prefix,
-        crash_points,
-        clamped: r.clamped.clone(),
-        faults,
-        trace: r.trace.clone(),
-        timeline: None,
-    }
+/// What the workers share while running jobs: the harness and config,
+/// the cancellation state, the telemetry stream, and the resume WAL.
+struct Pool<'a, S, H> {
+    harness: &'a H,
+    config: &'a CheckConfig,
+    workers: usize,
+    cancel: Cancel,
+    telem: RunTelemetry,
+    /// Completed `ok` executions from the resume WAL, keyed by job key.
+    replay: BTreeMap<JobKey, ExecStats>,
+    /// Executions satisfied from the WAL instead of run.
+    replayed: AtomicU64,
+    _spec: PhantomData<fn() -> S>,
 }
 
-/// Builds a [`JobOutcome`] from one finished execution and emits its
-/// telemetry (`exec_done`, live counters, optional `counterexample`).
-/// The `exec_done` record doubles as the resume WAL entry, so it
-/// carries everything a replayed outcome needs (helped ops and probe
-/// horizons included).
-#[allow(clippy::too_many_arguments)]
-fn finish_execution(
-    r: &RunResult,
-    key: JobKey,
-    pass: Pass,
-    seed: u64,
-    crash_points: Vec<u64>,
-    swept: usize,
-    faults: &FaultPlan,
-    keep_decisions: bool,
-    telem: &RunTelemetry,
-    counted: bool,
-) -> JobOutcome {
-    let kind = OutcomeKind::of(&r.outcome);
-    telem.emit(&telemetry::ev_exec_done(&telemetry::ExecEvent {
-        pass,
-        index: key.1,
-        seed,
-        outcome: kind,
-        steps: r.steps,
-        depth: r.decisions.len() as u64,
-        crashes: r.crashes as u64,
-        helped: r.helped,
-        lock_blocks: r.lock_blocks,
-        disk_ops: r.disk_ops,
-        net_msgs: r.net_msgs,
-        disk_reads: r.disk_reads,
-        disk_writes: r.disk_writes,
-        disk_flushes: r.disk_flushes,
-        net_sends: r.net_sends,
-        net_recvs: r.net_recvs,
-        trace_fp: r.trace_fp,
-        faults: &faults.compact(),
-        duration: r.duration,
-    }));
-    telem.exec_finished(r.steps, r.outcome.is_failure());
-    JobOutcome {
-        key,
-        pass,
-        steps: r.steps,
-        crashes: r.crashes,
-        helped: r.helped,
-        swept,
-        plans: usize::from(!faults.is_empty()),
-        family: FaultFamily::of(faults),
-        disk_ops: r.disk_ops,
-        net_msgs: r.net_msgs,
-        lock_blocks: r.lock_blocks,
-        lock_profile: r.lock_profile.clone(),
-        disk_reads: r.disk_reads,
-        disk_writes: r.disk_writes,
-        disk_flushes: r.disk_flushes,
-        net_sends: r.net_sends,
-        net_recvs: r.net_recvs,
-        kind,
-        depth: r.decisions.len() as u64,
-        crash_points,
-        trace_fp: r.trace_fp,
-        duration: r.duration,
-        decisions: if keep_decisions {
-            r.decisions.clone()
-        } else {
-            Vec::new()
-        },
-        deps: r.deps.clone(),
-        cx: None,
-        counted,
+impl<S: SpecTS, H: Harness<S>> Pool<'_, S, H> {
+    fn owns(&self, key: JobKey) -> bool {
+        match self.config.shard {
+            None => true,
+            Some((i, n)) => shard_of(key, n) == i,
+        }
     }
-}
 
-/// Synthesizes a [`JobOutcome`] from a WAL record instead of running
-/// the execution. Only `ok` records are replayable, and every field
-/// below is either deterministic job metadata or a recorded
-/// deterministic statistic, so a resumed run aggregates to the same
-/// report as a cold one. Emits no telemetry: the record is already in
-/// the WAL.
-fn replayed_outcome(
-    key: JobKey,
-    pass: Pass,
-    w: &telemetry::WalExec,
-    crash_points: Vec<u64>,
-    swept: usize,
-    faults: &FaultPlan,
-    counted: bool,
-) -> JobOutcome {
-    JobOutcome {
-        key,
-        pass,
-        steps: w.steps,
-        crashes: w.crashes as usize,
-        helped: w.helped,
-        swept,
-        plans: usize::from(!faults.is_empty()),
-        family: FaultFamily::of(faults),
-        disk_ops: w.disk_ops,
-        net_msgs: w.net_msgs,
-        lock_blocks: w.lock_blocks,
-        lock_profile: Vec::new(),
-        disk_reads: w.disk_reads,
-        disk_writes: w.disk_writes,
-        disk_flushes: w.disk_flushes,
-        net_sends: w.net_sends,
-        net_recvs: w.net_recvs,
-        kind: OutcomeKind::Ok,
-        depth: w.depth,
-        crash_points,
-        trace_fp: w.trace_fp,
-        duration: Duration::ZERO,
-        decisions: Vec::new(),
-        deps: None,
-        cx: None,
-        counted,
+    /// Whether every shard must *execute* this job even when it does
+    /// not own it: its result feeds deterministic job derivation or
+    /// strategy feedback, which must be identical across shards. The
+    /// nested crash sweep promotes the first-level crash sweep into
+    /// this derivation spine: nested job enumeration needs every rank-3
+    /// step count.
+    fn is_spine(&self, job: &Job) -> bool {
+        job.probe
+            || matches!(job.pass, Pass::Dfs | Pass::Random)
+            || (job.pass == Pass::CrashSweep && self.config.passes.contains(Pass::NestedCrash))
     }
-}
 
-/// Runs one job (one or two executions) and produces its outcomes,
-/// applying shard ownership (skip leaf jobs other shards own; run but
-/// don't count spine jobs) and the WAL replay map (skip sweep-phase
-/// executions the checkpoint already completed).
-fn execute_job<S: SpecTS, H: Harness<S>>(
-    harness: &H,
-    config: &CheckConfig,
-    cancel: &Cancel,
-    telem: &RunTelemetry,
-    ctx: &ExploreCtx,
-    job: &Job,
-) -> Vec<JobOutcome> {
-    let owned = ctx.owns(job.key);
-    let paired = matches!(job.kind, JobKind::ProbeThenCrash);
-    let crash_key = (Pass::RandomCrash.rank(), job.key.1);
-    // A random-crash probe must also run when this shard owns only the
-    // derived crash half: the crash point is a function of the probe's
-    // horizon.
-    let crash_owned = paired && ctx.owns(crash_key);
-    if !owned && !crash_owned && !ctx.is_spine(job) {
-        return Vec::new();
-    }
-    if !cancel.should_run(job.key) {
-        return Vec::new();
-    }
-    let (rank, index) = job.key;
-    let seed = exec_seed(config.seed, rank, index);
-
-    // Schedule-phase executions (ranks 0-1) always run live — the
-    // strategy needs their decision paths and dependency traces for
-    // feedback; everything from the crash-sweep base up is replayable.
-    let replayable = rank >= Pass::CrashSweepBase.rank();
-
-    let mut first_failed = false;
-    let out = if replayable && ctx.replay.contains_key(&job.key) {
-        ctx.replayed.fetch_add(1, Ordering::Relaxed);
-        replayed_outcome(
-            job.key,
-            job.pass,
-            &ctx.replay[&job.key],
-            job.crash_points.clone(),
-            job.swept,
-            &job.faults,
-            owned,
-        )
-    } else {
-        let (policy, keep_decisions) = match &job.policy {
-            PolicySpec::Dfs { prefix, .. } => (Policy::DfsPrefix(prefix.clone()), true),
-            PolicySpec::RoundRobin => (Policy::RoundRobin, false),
-            PolicySpec::Random { prefix } => (
-                Policy::Random {
-                    seed,
-                    prefix: prefix.clone(),
-                },
-                // The coverage strategy feeds on random-pass decision
-                // paths; the random-crash probes (rank 5) don't need
-                // them.
-                job.pass == Pass::Random,
-            ),
+    /// Runs one execution of `job` under `pass` and `crash_points` — or
+    /// replays it from the WAL when the checkpoint completed it — and
+    /// returns its record. A live run emits `exec_done` (plus
+    /// `counterexample` on failure) and offers a failure to the
+    /// cancellation state; a replayed one emits nothing, since its
+    /// record is already in the WAL.
+    fn execute(&self, job: &Job, pass: Pass, crash_points: Vec<u64>, counted: bool) -> ExecRecord {
+        let key = (pass.rank(), job.index);
+        let seed = exec_seed(self.config.seed, job.pass.rank(), job.index);
+        let mut rec = ExecRecord {
+            key,
+            pass,
+            seed,
+            crash_points,
+            family: FaultFamily::of(&job.faults),
+            counted,
+            ..ExecRecord::default()
         };
-        let track = matches!(
-            &job.policy,
-            PolicySpec::Dfs {
-                track_deps: true,
-                ..
+        // Schedule-phase executions (ranks 0-1) always run live — the
+        // strategy needs their decision paths and dependency traces for
+        // feedback; everything from the crash-sweep base up is
+        // replayable. Every replayed statistic is deterministic, so a
+        // resumed run folds to the same report as a cold one.
+        if pass.rank() >= Pass::CrashSweepBase.rank() {
+            if let Some(stats) = self.replay.get(&key) {
+                self.replayed.fetch_add(1, Ordering::Relaxed);
+                rec.stats = *stats;
+                return rec;
             }
-        );
+        }
         let r = run_one(
-            harness,
-            policy,
-            &job.crash_points,
+            self.harness,
+            &job.policy,
+            &rec.crash_points,
             &job.faults,
             seed,
-            config.max_steps,
-            track,
+            self.config.max_steps,
             false,
         );
-        let mut out = finish_execution(
-            &r,
-            job.key,
-            job.pass,
-            seed,
-            job.crash_points.clone(),
-            job.swept,
-            &job.faults,
-            keep_decisions,
-            telem,
-            owned,
-        );
+        rec.outcome = OutcomeKind::of(&r.outcome);
+        rec.stats = r.stats;
+        rec.duration = r.duration;
+        rec.lock_profile = r.lock_profile;
+        rec.deps = r.deps;
+        if matches!(pass, Pass::Dfs | Pass::Random) {
+            // The strategies feed on schedule-phase decision paths.
+            rec.decisions = r.decisions;
+        }
+        self.telem
+            .emit(&telemetry::ev_exec_done(&rec, &job.faults.compact()));
+        self.telem
+            .exec_finished(rec.stats.steps, r.outcome.is_failure());
         if r.outcome.is_failure() {
-            first_failed = true;
-            let prefix = match &job.policy {
-                PolicySpec::Dfs { prefix, .. } => prefix.clone(),
-                PolicySpec::Random { prefix } => prefix.clone(),
-                PolicySpec::RoundRobin => Vec::new(),
+            let cx = Counterexample {
+                outcome: r.outcome,
+                pass,
+                index: job.index,
+                seed,
+                schedule_prefix: job.policy.prefix().to_vec(),
+                crash_points: rec.crash_points.clone(),
+                clamped: r.clamped,
+                faults: job.faults.clone(),
+                trace: r.trace,
+                timeline: None,
             };
-            let cx = make_counterexample(
-                &r,
-                job.pass,
-                index,
-                seed,
-                prefix,
-                job.crash_points.clone(),
-                job.faults.clone(),
-            );
-            telem.emit(&telemetry::ev_counterexample(&cx));
-            out.cx = Some(cx);
-            cancel.offer(job.key);
+            self.telem.emit(&telemetry::ev_counterexample(&cx));
+            self.cancel.offer(key);
+            rec.cx = Some(cx);
         }
-        out
-    };
-    if first_failed {
-        return vec![out];
+        rec
     }
 
-    match job.kind {
-        JobKind::Single => vec![out],
-        JobKind::ProbeThenCrash => {
-            // The probe succeeded: rerun the same schedule with one
-            // crash point derived from the probe's horizon. The crash
-            // run reuses the probe's seed so the schedule replays.
-            if !crash_owned || !cancel.should_run(crash_key) {
-                return vec![out];
-            }
-            let horizon = out.steps.max(1);
-            let k = splitmix(seed) % horizon;
-            if let Some(w) = ctx.replay.get(&crash_key) {
-                ctx.replayed.fetch_add(1, Ordering::Relaxed);
-                let out2 = replayed_outcome(
-                    crash_key,
-                    Pass::RandomCrash,
-                    w,
-                    vec![k],
-                    1,
-                    &job.faults,
-                    true,
-                );
-                return vec![out, out2];
-            }
-            let r2 = run_one(
-                harness,
-                Policy::Random {
-                    seed,
-                    prefix: Vec::new(),
-                },
-                &[k],
-                &job.faults,
-                seed,
-                config.max_steps,
-                false,
-                false,
-            );
-            let mut out2 = finish_execution(
-                &r2,
-                crash_key,
-                Pass::RandomCrash,
-                seed,
-                vec![k],
-                1,
-                &job.faults,
-                false,
-                telem,
-                true,
-            );
-            if r2.outcome.is_failure() {
-                let cx = make_counterexample(
-                    &r2,
-                    Pass::RandomCrash,
-                    index,
-                    seed,
-                    Vec::new(),
-                    vec![k],
-                    job.faults.clone(),
-                );
-                telem.emit(&telemetry::ev_counterexample(&cx));
-                out2.cx = Some(cx);
-                cancel.offer(crash_key);
-            }
-            vec![out, out2]
+    /// Runs one job (one or two executions), applying shard ownership:
+    /// leaf jobs other shards own are skipped, spine jobs run but are
+    /// not counted.
+    fn execute_job(&self, job: &Job) -> Vec<ExecRecord> {
+        let owned = self.owns(job.key());
+        let crash_key = (Pass::RandomCrash.rank(), job.index);
+        // A random-crash probe must also run when this shard owns only
+        // the derived crash half: the crash point is a function of the
+        // probe's horizon.
+        let crash_owned = matches!(job.kind, JobKind::ProbeThenCrash) && self.owns(crash_key);
+        if !owned && !crash_owned && !self.is_spine(job) || !self.cancel.should_run(job.key()) {
+            return Vec::new();
         }
-    }
-}
-
-/// Runs a batch of jobs across the worker pool (inline when a single
-/// worker suffices) and returns their outcomes in job order.
-fn run_wave<S: SpecTS, H: Harness<S>>(
-    harness: &H,
-    config: &CheckConfig,
-    cancel: &Cancel,
-    telem: &RunTelemetry,
-    ctx: &ExploreCtx,
-    workers: usize,
-    jobs: &[Job],
-) -> Vec<JobOutcome> {
-    let workers = workers.min(jobs.len()).max(1);
-    if workers == 1 {
-        return jobs
-            .iter()
-            .flat_map(|job| execute_job(harness, config, cancel, telem, ctx, job))
-            .collect();
+        let first = self.execute(job, job.pass, job.crash_points.clone(), owned);
+        if first.cx.is_some() || !crash_owned || !self.cancel.should_run(crash_key) {
+            return vec![first];
+        }
+        // The probe succeeded: rerun the same schedule with one crash
+        // point derived from the probe's horizon. The crash run reuses
+        // the probe's seed so the schedule replays.
+        let k = splitmix(first.seed) % first.stats.steps.max(1);
+        let second = self.execute(job, Pass::RandomCrash, vec![k], true);
+        vec![first, second]
     }
 
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Vec<JobOutcome>>> =
-        (0..jobs.len()).map(|_| Mutex::new(Vec::new())).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let outs = execute_job(harness, config, cancel, telem, ctx, &jobs[i]);
-                *slots[i].lock() = outs;
-            });
+    /// Runs a batch of jobs across the worker pool (inline when a single
+    /// worker suffices) and returns their records in job order.
+    fn run_wave(&self, jobs: &[Job]) -> Vec<ExecRecord> {
+        let workers = self.workers.min(jobs.len()).max(1);
+        if workers == 1 {
+            return jobs.iter().flat_map(|job| self.execute_job(job)).collect();
         }
-    });
-    slots
-        .into_iter()
-        .flat_map(|slot| slot.into_inner())
-        .collect()
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Vec<ExecRecord>>> =
+            (0..jobs.len()).map(|_| Mutex::new(Vec::new())).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs.len() {
+                        break;
+                    }
+                    *slots[i].lock() = self.execute_job(&jobs[i]);
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .flat_map(|slot| slot.into_inner())
+            .collect()
+    }
 }
 
 /// Deterministic execution-budget gate: admits job waves in canonical
@@ -1690,14 +1394,6 @@ struct BudgetGate {
 }
 
 impl BudgetGate {
-    fn new(limit: u64) -> Self {
-        BudgetGate {
-            limit,
-            used: 0,
-            exhausted: false,
-        }
-    }
-
     fn open(&self) -> bool {
         !self.exhausted
     }
@@ -1728,6 +1424,255 @@ impl BudgetGate {
     }
 }
 
+/// One check's coordinator state: the worker pool, the budget gate, the
+/// per-pass wall timer, every execution record so far, and the fold the
+/// records end up in.
+struct Explorer<'a, S, H> {
+    pool: Pool<'a, S, H>,
+    budget: BudgetGate,
+    /// The pass whose wall time is being measured, and since when.
+    pass_timer: Option<(Pass, Instant)>,
+    records: Vec<ExecRecord>,
+    /// Enumerable sweep spaces are recorded into the fold as passes
+    /// derive their jobs (deterministic: derivation is probe-driven, not
+    /// timed); the records are folded in once exploration ends.
+    fold: OutcomeFold,
+}
+
+impl<'a, S: SpecTS, H: Harness<S>> Explorer<'a, S, H> {
+    fn new(harness: &'a H, config: &'a CheckConfig) -> Self {
+        let workers = config.effective_workers();
+        // Read the WAL before the telemetry stream opens: resuming into
+        // the same file must see it before anything is appended.
+        let replay = load_wal(harness.name(), config);
+        let telem = RunTelemetry::new(harness.name(), config);
+        let strategy = config.strategy.name();
+        let mut report = CheckReport {
+            name: harness.name().to_string(),
+            workers,
+            strategy: strategy.to_string(),
+            shard: config.shard,
+            env: EnvStamp::current(workers as u64, strategy),
+            ..CheckReport::default()
+        };
+        if let Some(e) = &telem.open_error {
+            report.incomplete.push(format!("telemetry degraded: {e}"));
+        }
+        let fold = OutcomeFold {
+            report,
+            resources: config.profile.then(BTreeMap::new),
+        };
+        telem.emit(&telemetry::ev_run_start(harness.name(), config, workers));
+        // Sharded runs force keep-going semantics: a cutoff chosen inside
+        // one shard would depend on which jobs that shard owns, and shard
+        // statistics must be exactly mergeable by `merge_reports`.
+        let keep_going = config.keep_going || config.shard.is_some();
+        Explorer {
+            pool: Pool {
+                harness,
+                config,
+                workers,
+                cancel: Cancel::new(keep_going),
+                telem,
+                replay,
+                replayed: AtomicU64::new(0),
+                _spec: PhantomData,
+            },
+            budget: BudgetGate {
+                limit: config.exec_budget,
+                used: 0,
+                exhausted: false,
+            },
+            pass_timer: None,
+            records: Vec::new(),
+            fold,
+        }
+    }
+
+    /// Whether exploration goes on: no early-exit failure yet and budget
+    /// left.
+    fn live(&self) -> bool {
+        !self.pool.cancel.cancelled() && self.budget.open()
+    }
+
+    fn has(&self, pass: Pass) -> bool {
+        self.pool.config.passes.contains(pass)
+    }
+
+    /// Closes the running pass with a timed `pass_end` record and opens
+    /// `next`, if any. Emitted from the coordinating thread only, so the
+    /// event order is deterministic for a fixed config.
+    fn switch_pass(&mut self, next: Option<Pass>) {
+        if let Some((prev, started)) = self.pass_timer.take() {
+            let ev = telemetry::ev_pass_end(prev, started.elapsed());
+            self.pool.telem.emit(&ev);
+        }
+        if let Some(pass) = next {
+            self.pass_timer = Some((pass, Instant::now()));
+            self.pool.telem.emit(&telemetry::ev_pass_start(pass));
+        }
+    }
+
+    /// The one run step every pass shares: counts the fault plans the
+    /// jobs enumerate, admits the jobs against the execution budget in
+    /// canonical order, runs them across the pool, and keeps their
+    /// records. Returns the new records, in job order.
+    fn run_jobs(&mut self, jobs: Vec<Job>) -> &[ExecRecord] {
+        let cov = &mut self.fold.report.coverage;
+        for job in &jobs {
+            match FaultFamily::of(&job.faults) {
+                FaultFamily::Disk => cov.disk_fault_plans_enumerable += 1,
+                FaultFamily::Torn => cov.torn_plans_enumerable += 1,
+                FaultFamily::Net => cov.net_plans_enumerable += 1,
+                FaultFamily::None => {}
+            }
+        }
+        let jobs = self.budget.admit(jobs);
+        let first = self.records.len();
+        self.records.extend(self.pool.run_wave(&jobs));
+        &self.records[first..]
+    }
+
+    /// Runs a horizon probe — derivation spine, executed by every shard
+    /// and counted only by its owner — and returns its counters, or
+    /// `None` when exploration stopped.
+    fn probe(&mut self, job: Job) -> Option<ExecStats> {
+        let stats = self
+            .run_jobs(vec![Job { probe: true, ..job }])
+            .first()
+            .map_or_else(ExecStats::default, |r| r.stats);
+        self.live().then_some(stats)
+    }
+
+    /// Schedule phase (ranks 0-1): the strategy decides which crash-free
+    /// schedules to run, as a wave loop with feedback. Each wave's job
+    /// keys are assigned in spec order before anything runs; feedback
+    /// (frontier expansion, sleep-set pruning, coverage re-seeding) is
+    /// applied only from *complete* waves, so the explored set and the
+    /// pruned/guided counters are worker-count independent.
+    fn schedule_phase(&mut self, session: &mut dyn StrategySession) {
+        let mut announced = PassSet::empty();
+        let mut next_index: BTreeMap<Pass, u64> = BTreeMap::new();
+        while self.live() {
+            let Some(wave) = session.next_wave() else {
+                break;
+            };
+            let pass = wave.pass;
+            if !announced.contains(pass) {
+                announced.insert(pass);
+                self.switch_pass(Some(pass));
+            }
+            let first = next_index.get(&pass).copied().unwrap_or(0);
+            next_index.insert(pass, first + wave.specs.len() as u64);
+            let jobs = (wave.specs.iter().zip(first..))
+                .map(|(spec, index)| Job::new(pass, index, spec.into()))
+                .collect();
+            let observed: Vec<ObservedExec> = (self.run_jobs(jobs).iter())
+                .map(|o| ObservedExec {
+                    slot: (o.key.1 - first) as usize,
+                    decisions: o.decisions.clone(),
+                    trace_fp: o.stats.trace_fp,
+                    failed: o.outcome != OutcomeKind::Ok,
+                    deps: o.deps.clone(),
+                })
+                .collect();
+            // Stop *before* observing a wave cut short by an early-exit
+            // failure (later jobs skipped) or by the budget (truncated):
+            // partial feedback would make strategy state depend on
+            // worker timing or on where the budget landed rather than
+            // on canonical job order.
+            if !self.live() {
+                break;
+            }
+            session.observe(pass, &observed);
+        }
+    }
+
+    /// Ranks 2-4: the systematic crash sweep on the round-robin schedule.
+    fn crash_sweep(&mut self) {
+        // Rank 2: discover the crash-free horizon first; the rank-3 job
+        // list depends on its step count.
+        self.switch_pass(Some(Pass::CrashSweepBase));
+        let Some(base) = self.probe(Job::new(Pass::CrashSweepBase, 0, Policy::RoundRobin)) else {
+            return;
+        };
+        // Rank 3: one crash at every grant count up to the horizon.
+        self.switch_pass(Some(Pass::CrashSweep));
+        self.fold.report.coverage.crash_points_enumerable = base.steps;
+        let points = (0..base.steps).map(|k| (vec![k], FaultPlan::default()));
+        let sweep: Vec<(u64, u64)> = (self.run_jobs(sweep_jobs(Pass::CrashSweep, 0, points)))
+            .iter()
+            .map(|o| (o.key.1, o.stats.steps))
+            .collect();
+        // Rank 4: a second crash inside each recovery, generated in
+        // deterministic (k, m) order from the sweep's step counts.
+        if self.has(Pass::NestedCrash) && self.live() {
+            self.switch_pass(Some(Pass::NestedCrash));
+            let nested = (sweep.into_iter()).flat_map(|(k, steps)| {
+                (k + 1..steps).map(move |m| (vec![k, m], FaultPlan::default()))
+            });
+            self.run_jobs(sweep_jobs(Pass::NestedCrash, 0, nested));
+        }
+    }
+
+    /// A fault pass (ranks 7-9): probes the fault-free round-robin
+    /// schedule at index 0 for its enumeration horizon (grant, disk-op,
+    /// or message count), then runs one job per derived point at indices
+    /// 1.. — so every job key is independent of worker count. Returns
+    /// the probe's counters and the next free index.
+    fn fault_sweep(
+        &mut self,
+        pass: Pass,
+        derive: impl FnOnce(&ExecStats) -> Vec<SweepPoint>,
+    ) -> Option<(ExecStats, u64)> {
+        self.switch_pass(Some(pass));
+        let probe = self.probe(Job::new(pass, 0, Policy::RoundRobin))?;
+        let jobs = sweep_jobs(pass, 1, derive(&probe));
+        let next = 1 + jobs.len() as u64;
+        self.run_jobs(jobs);
+        Some((probe, next))
+    }
+
+    /// Rank 7: transient I/O errors on every disk op, plus (on two-disk
+    /// substrates) a permanent single-disk failure at every grant count —
+    /// including during recovery, whose horizon a second probe measures
+    /// with one mid-schedule crash.
+    fn disk_fault_sweep(&mut self, surface: FaultSurface) {
+        let Some((probe, next)) = self.fault_sweep(Pass::DiskFault, |p| {
+            let transient = if surface.transient_disk_io {
+                p.disk_ops
+            } else {
+                0
+            };
+            let fail = if surface.two_disk { p.steps } else { 0 };
+            (0..transient)
+                .map(|j| {
+                    let faults = FaultPlan {
+                        transient_io: [j].into(),
+                        ..FaultPlan::default()
+                    };
+                    (Vec::new(), faults)
+                })
+                .chain(disk_failures(Vec::new(), 0..fail))
+                .collect()
+        }) else {
+            return;
+        };
+        if !surface.two_disk || probe.steps == 0 || !self.live() {
+            return;
+        }
+        let k = probe.steps / 2;
+        let recovery = Job {
+            crash_points: vec![k],
+            ..Job::new(Pass::DiskFault, next, Policy::RoundRobin)
+        };
+        if let Some(recovery) = self.probe(recovery) {
+            let points = disk_failures(vec![k], k + 1..recovery.steps);
+            self.run_jobs(sweep_jobs(Pass::DiskFault, next + 1, points));
+        }
+    }
+}
+
 /// Whether a WAL's `run_start` record matches the resuming
 /// configuration. Workers are excluded (reports are worker-count
 /// independent); everything else — seed, budgets, passes, strategy,
@@ -1751,7 +1696,7 @@ fn wal_matches_config(stored: &Value, name: &str, config: &CheckConfig) -> bool 
 /// config mismatch — degrades to a cold start with a warning rather
 /// than failing the run: a campaign must make progress even when its
 /// checkpoint is useless.
-fn load_wal(name: &str, config: &CheckConfig) -> BTreeMap<JobKey, telemetry::WalExec> {
+fn load_wal(name: &str, config: &CheckConfig) -> BTreeMap<JobKey, ExecStats> {
     let Some(path) = &config.resume_from else {
         return BTreeMap::new();
     };
@@ -1800,422 +1745,66 @@ fn load_wal(name: &str, config: &CheckConfig) -> BTreeMap<JobKey, telemetry::Wal
 /// docs for the determinism contract.
 pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> CheckReport {
     let start = Instant::now();
-    let workers = config.effective_workers();
-    let mut incomplete: Vec<String> = Vec::new();
-    let replay = load_wal(harness.name(), config);
-    let ctx = ExploreCtx {
-        shard: config.shard,
-        replay,
-        nested_on: config.passes.contains(Pass::NestedCrash),
-        replayed: AtomicU64::new(0),
-    };
-    let mut budget = BudgetGate::new(config.exec_budget);
-    let telem = RunTelemetry::new(harness.name(), config);
-    if let Some(e) = &telem.open_error {
-        incomplete.push(format!("telemetry degraded: {e}"));
-    }
-    telem.emit(&telemetry::ev_run_start(harness.name(), config, workers));
-    // Sharded runs force keep-going semantics: a cutoff chosen inside
-    // one shard would depend on which jobs that shard owns, and shard
-    // statistics must be exactly summable by `merge_reports`.
-    let keep_going = config.keep_going || config.shard.is_some();
-    let cancel = Cancel::new(keep_going);
-    let mut outcomes: Vec<JobOutcome> = Vec::new();
-    // Enumerable sweep spaces, recorded as each pass derives its job
-    // list (deterministic: job derivation is probe-driven, not timed).
-    let mut coverage = Coverage::default();
-    // Per-pass wall-time profile: each `pass_start` closes the previous
-    // pass with a timed `pass_end` record, and the run tail closes the
-    // last one. Emitted from the coordinating thread only, so the event
-    // order is deterministic for a fixed config.
-    let pass_timer: Mutex<Option<(Pass, Instant)>> = Mutex::new(None);
-    let pass_start = |pass: Pass| {
-        let mut cur = pass_timer.lock();
-        if let Some((prev, started)) = cur.take() {
-            telem.emit(&telemetry::ev_pass_end(prev, started.elapsed()));
-        }
-        *cur = Some((pass, Instant::now()));
-        telem.emit(&telemetry::ev_pass_start(pass));
-    };
-
-    // Schedule phase (ranks 0-1): the strategy decides which crash-free
-    // schedules to run, as a wave loop with feedback. Each wave's job
-    // keys are assigned in spec order before anything runs; feedback
-    // (frontier expansion, sleep-set pruning, coverage re-seeding) is
-    // applied only from *complete* waves — a wave cut short by a failure
-    // is never observed — so the explored set and the pruned/guided
-    // counters are worker-count independent.
+    let mut ex = Explorer::new(harness, config);
     let mut session = config.strategy.session(config);
-    let mut announced = PassSet::empty();
-    let mut next_index: BTreeMap<u8, u64> = BTreeMap::new();
-    while !cancel.cancelled() && budget.open() {
-        let Some(wave) = session.next_wave() else {
-            break;
-        };
-        let pass = wave.pass;
-        if !announced.contains(pass) {
-            announced.insert(pass);
-            pass_start(pass);
-        }
-        let first = *next_index.entry(pass.rank()).or_insert(0);
-        let jobs: Vec<Job> = wave
-            .specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let key = (pass.rank(), first + i as u64);
-                let policy = match spec {
-                    ScheduleSpec::Dfs { prefix, track_deps } => PolicySpec::Dfs {
-                        prefix: prefix.clone(),
-                        track_deps: *track_deps,
-                    },
-                    ScheduleSpec::Random { prefix } => PolicySpec::Random {
-                        prefix: prefix.clone(),
-                    },
-                };
-                Job::plain(key, pass, policy)
-            })
-            .collect();
-        let jobs = budget.admit(jobs);
-        next_index.insert(pass.rank(), first + jobs.len() as u64);
-        let outs = run_wave(harness, config, &cancel, &telem, &ctx, workers, &jobs);
-        let observed: Vec<ObservedExec> = outs
-            .iter()
-            .map(|o| ObservedExec {
-                slot: (o.key.1 - first) as usize,
-                decisions: o.decisions.clone(),
-                trace_fp: o.trace_fp,
-                failed: o.kind != OutcomeKind::Ok,
-                deps: o.deps.clone(),
-            })
-            .collect();
-        outcomes.extend(outs);
-        if !keep_going && cancel.any_failure() {
-            // Break *before* observing: the failing wave may be partial
-            // (later jobs skipped), and partial feedback would make
-            // strategy state depend on worker timing.
-            break;
-        }
-        if !budget.open() {
-            // A budget-truncated wave is run (its executions were paid
-            // for) but never observed: feedback from a partial wave
-            // would make strategy state depend on where the budget
-            // landed rather than on canonical job order.
-            break;
-        }
-        session.observe(pass, &observed);
+    ex.schedule_phase(session.as_mut());
+
+    // The sweeps. Each derives its jobs from probe results, so job keys
+    // and indices are a pure function of the configuration.
+    let surface = harness.fault_surface();
+    if ex.has(Pass::CrashSweep) && ex.live() {
+        ex.crash_sweep();
     }
-
-    // Passes 2-4: systematic crash sweep on the round-robin schedule.
-    if config.passes.contains(Pass::CrashSweep) && !cancel.cancelled() && budget.open() {
-        pass_start(Pass::CrashSweepBase);
-        // Rank 2: discover the crash-free horizon first. The probe is
-        // derivation spine: every shard runs it (only the owner counts
-        // it), because the rank-3 job list depends on its step count.
-        let base_jobs = budget.admit(vec![Job {
-            probe: true,
-            ..Job::plain(
-                (Pass::CrashSweepBase.rank(), 0),
-                Pass::CrashSweepBase,
-                PolicySpec::RoundRobin,
-            )
-        }]);
-        let base = run_wave(harness, config, &cancel, &telem, &ctx, workers, &base_jobs);
-        let horizon = base.first().map_or(0, |o| o.steps);
-        outcomes.extend(base);
-
-        // Rank 3: one crash at every grant count up to the horizon.
-        if !cancel.cancelled() && budget.open() {
-            pass_start(Pass::CrashSweep);
-            coverage.crash_points_enumerable = horizon;
-            let jobs: Vec<Job> = (0..horizon)
-                .map(|k| Job {
-                    crash_points: vec![k],
-                    swept: 1,
-                    ..Job::plain(
-                        (Pass::CrashSweep.rank(), k),
-                        Pass::CrashSweep,
-                        PolicySpec::RoundRobin,
-                    )
-                })
-                .collect();
-            let jobs = budget.admit(jobs);
-            let sweep = run_wave(harness, config, &cancel, &telem, &ctx, workers, &jobs);
-
-            // Rank 4: a second crash inside each recovery, generated in
-            // deterministic (k, m) order from the sweep's step counts.
-            if config.passes.contains(Pass::NestedCrash) && !cancel.cancelled() && budget.open() {
-                pass_start(Pass::NestedCrash);
-                let mut nested: Vec<Job> = Vec::new();
-                let mut index: u64 = 0;
-                for out in &sweep {
-                    let k = out.key.1;
-                    let after = out.steps.saturating_sub(k + 1);
-                    for m in 0..after {
-                        nested.push(Job {
-                            crash_points: vec![k, k + 1 + m],
-                            swept: 1,
-                            ..Job::plain(
-                                (Pass::NestedCrash.rank(), index),
-                                Pass::NestedCrash,
-                                PolicySpec::RoundRobin,
-                            )
-                        });
-                        index += 1;
-                    }
-                }
-                let nested = budget.admit(nested);
-                outcomes.extend(sweep);
-                outcomes.extend(run_wave(
-                    harness, config, &cancel, &telem, &ctx, workers, &nested,
-                ));
-            } else {
-                outcomes.extend(sweep);
-            }
-        }
-    }
-
-    // Passes 5-6: random schedules with a random crash point each (probe
-    // + crash run are one job; the crash run reuses the probe's seed).
-    if config.passes.contains(Pass::RandomCrash) && !cancel.cancelled() && budget.open() {
-        pass_start(Pass::RandomCrashProbe);
-        let jobs: Vec<Job> = (0..config.random_crash_samples as u64)
+    if ex.has(Pass::RandomCrash) && ex.live() {
+        // Ranks 5-6: random schedules with a random crash point each
+        // (probe + crash run are one job; the crash run reuses the
+        // probe's seed).
+        ex.switch_pass(Some(Pass::RandomCrashProbe));
+        let jobs = (0..config.random_crash_samples as u64)
             .map(|i| Job {
                 kind: JobKind::ProbeThenCrash,
-                ..Job::plain(
-                    (Pass::RandomCrashProbe.rank(), i),
+                ..Job::new(
                     Pass::RandomCrashProbe,
-                    PolicySpec::Random { prefix: Vec::new() },
+                    i,
+                    Policy::Random { prefix: Vec::new() },
                 )
             })
             .collect();
-        let jobs = budget.admit(jobs);
-        outcomes.extend(run_wave(
-            harness, config, &cancel, &telem, &ctx, workers, &jobs,
-        ));
+        ex.run_jobs(jobs);
+    }
+    if ex.has(Pass::DiskFault) && (surface.transient_disk_io || surface.two_disk) && ex.live() {
+        ex.disk_fault_sweep(surface);
+    }
+    if ex.has(Pass::TornWrite) && surface.torn_writes && ex.live() {
+        ex.fault_sweep(Pass::TornWrite, torn_write_points);
+    }
+    if ex.has(Pass::NetFault) && surface.net && ex.live() {
+        ex.fault_sweep(Pass::NetFault, net_fault_points);
     }
 
-    // Passes 7-9: deterministic fault-injection sweeps. Each pass probes
-    // the fault-free round-robin schedule at index 0 to learn the
-    // enumeration horizon (grant count, disk-op count, or message
-    // count), then enumerates one fault plan per job at indices >= 1.
-    // The probe is deterministic, so the derived job list — and hence
-    // every job key — is independent of worker count.
-    let surface = harness.fault_surface();
-
-    // Pass 7: transient I/O errors on every disk op, plus (on two-disk
-    // substrates) a permanent single-disk failure at every grant count,
-    // including during recovery.
-    if config.passes.contains(Pass::DiskFault)
-        && (surface.transient_disk_io || surface.two_disk)
-        && !cancel.cancelled()
-        && budget.open()
-    {
-        let rank = Pass::DiskFault.rank();
-        pass_start(Pass::DiskFault);
-        let probe_jobs = budget.admit(vec![Job {
-            probe: true,
-            ..Job::plain((rank, 0), Pass::DiskFault, PolicySpec::RoundRobin)
-        }]);
-        let probe = run_wave(harness, config, &cancel, &telem, &ctx, workers, &probe_jobs);
-        let horizon = probe.first().map_or(0, |o| o.steps);
-        let disk_ops = probe.first().map_or(0, |o| o.disk_ops);
-        outcomes.extend(probe);
-
-        if !cancel.cancelled() && budget.open() {
-            let mut jobs: Vec<Job> = Vec::new();
-            let mut index: u64 = 1;
-            if surface.transient_disk_io {
-                for j in 0..disk_ops {
-                    let mut faults = FaultPlan::default();
-                    faults.transient_io.insert(j);
-                    jobs.push(Job {
-                        faults,
-                        ..Job::plain((rank, index), Pass::DiskFault, PolicySpec::RoundRobin)
-                    });
-                    index += 1;
-                }
-            }
-            if surface.two_disk {
-                for g in 0..horizon {
-                    for d in [1u8, 2u8] {
-                        let faults = FaultPlan {
-                            disk_fail: Some((d, g)),
-                            ..FaultPlan::default()
-                        };
-                        jobs.push(Job {
-                            faults,
-                            ..Job::plain((rank, index), Pass::DiskFault, PolicySpec::RoundRobin)
-                        });
-                        index += 1;
-                    }
-                }
-            }
-            coverage.disk_fault_plans_enumerable += jobs.len() as u64;
-            let jobs = budget.admit(jobs);
-            outcomes.extend(run_wave(
-                harness, config, &cancel, &telem, &ctx, workers, &jobs,
-            ));
-
-            // Disk failure *during recovery*: probe one mid-schedule
-            // crash to learn the recovery horizon, then fail each disk
-            // at every post-crash grant count.
-            if surface.two_disk && horizon > 0 && !cancel.cancelled() && budget.open() {
-                let k = horizon / 2;
-                let probe2_jobs = budget.admit(vec![Job {
-                    crash_points: vec![k],
-                    swept: 1,
-                    probe: true,
-                    ..Job::plain((rank, index), Pass::DiskFault, PolicySpec::RoundRobin)
-                }]);
-                index += 1;
-                let probe2 = run_wave(
-                    harness,
-                    config,
-                    &cancel,
-                    &telem,
-                    &ctx,
-                    workers,
-                    &probe2_jobs,
-                );
-                let h2 = probe2.first().map_or(0, |o| o.steps);
-                outcomes.extend(probe2);
-                if !cancel.cancelled() && budget.open() {
-                    let mut jobs: Vec<Job> = Vec::new();
-                    for g in k + 1..h2 {
-                        for d in [1u8, 2u8] {
-                            let faults = FaultPlan {
-                                disk_fail: Some((d, g)),
-                                ..FaultPlan::default()
-                            };
-                            jobs.push(Job {
-                                crash_points: vec![k],
-                                swept: 1,
-                                faults,
-                                ..Job::plain((rank, index), Pass::DiskFault, PolicySpec::RoundRobin)
-                            });
-                            index += 1;
-                        }
-                    }
-                    coverage.disk_fault_plans_enumerable += jobs.len() as u64;
-                    let jobs = budget.admit(jobs);
-                    outcomes.extend(run_wave(
-                        harness, config, &cancel, &telem, &ctx, workers, &jobs,
-                    ));
-                }
-            }
-        }
-    }
-
-    // Pass 8: torn-write sweep — at every crash point of the baseline
-    // schedule, crashes that persist none or a pseudo-random subset of
-    // the unflushed write buffer (persisting *all* of it is exactly the
-    // plain crash sweep).
-    if config.passes.contains(Pass::TornWrite)
-        && surface.torn_writes
-        && !cancel.cancelled()
-        && budget.open()
-    {
-        let rank = Pass::TornWrite.rank();
-        pass_start(Pass::TornWrite);
-        let probe_jobs = budget.admit(vec![Job {
-            probe: true,
-            ..Job::plain((rank, 0), Pass::TornWrite, PolicySpec::RoundRobin)
-        }]);
-        let probe = run_wave(harness, config, &cancel, &telem, &ctx, workers, &probe_jobs);
-        let horizon = probe.first().map_or(0, |o| o.steps);
-        outcomes.extend(probe);
-
-        if !cancel.cancelled() && budget.open() {
-            const MODES: [TornMode; 3] =
-                [TornMode::KeepNone, TornMode::Subset(0), TornMode::Subset(1)];
-            let jobs: Vec<Job> = (0..horizon)
-                .flat_map(|k| {
-                    MODES.iter().enumerate().map(move |(m, mode)| {
-                        let faults = FaultPlan {
-                            torn: Some(*mode),
-                            ..FaultPlan::default()
-                        };
-                        Job {
-                            crash_points: vec![k],
-                            swept: 1,
-                            faults,
-                            ..Job::plain(
-                                (rank, 1 + k * MODES.len() as u64 + m as u64),
-                                Pass::TornWrite,
-                                PolicySpec::RoundRobin,
-                            )
-                        }
-                    })
-                })
-                .collect();
-            coverage.torn_plans_enumerable += jobs.len() as u64;
-            let jobs = budget.admit(jobs);
-            outcomes.extend(run_wave(
-                harness, config, &cancel, &telem, &ctx, workers, &jobs,
-            ));
-        }
-    }
-
-    // Pass 9: network-fault sweep — drop, duplicate, or delay each
-    // message of the baseline schedule, one fault per execution.
-    if config.passes.contains(Pass::NetFault) && surface.net && !cancel.cancelled() && budget.open()
-    {
-        let rank = Pass::NetFault.rank();
-        pass_start(Pass::NetFault);
-        let probe_jobs = budget.admit(vec![Job {
-            probe: true,
-            ..Job::plain((rank, 0), Pass::NetFault, PolicySpec::RoundRobin)
-        }]);
-        let probe = run_wave(harness, config, &cancel, &telem, &ctx, workers, &probe_jobs);
-        let net_msgs = probe.first().map_or(0, |o| o.net_msgs);
-        outcomes.extend(probe);
-
-        if !cancel.cancelled() && budget.open() {
-            const FAULTS: [NetFault; 3] = [NetFault::Drop, NetFault::Duplicate, NetFault::Delay];
-            let jobs: Vec<Job> = (0..net_msgs)
-                .flat_map(|m| {
-                    FAULTS.iter().enumerate().map(move |(f, fault)| {
-                        let mut faults = FaultPlan::default();
-                        faults.net.insert(m, *fault);
-                        Job {
-                            faults,
-                            ..Job::plain(
-                                (rank, 1 + m * FAULTS.len() as u64 + f as u64),
-                                Pass::NetFault,
-                                PolicySpec::RoundRobin,
-                            )
-                        }
-                    })
-                })
-                .collect();
-            coverage.net_plans_enumerable += jobs.len() as u64;
-            let jobs = budget.admit(jobs);
-            outcomes.extend(run_wave(
-                harness, config, &cancel, &telem, &ctx, workers, &jobs,
-            ));
-        }
-    }
-
-    // Aggregate. Without keep_going, statistics and counterexamples are
-    // restricted to jobs at or below the winning key — exactly the set a
-    // canonical-order sequential run would have executed — which makes
-    // the whole report worker-count independent. Sharded runs count only
-    // owned outcomes (spine jobs executed for derivation are excluded),
-    // so summing shard reports reproduces the unsharded totals.
-    let mut counterexamples: Vec<Counterexample> = outcomes
-        .iter()
-        .filter(|o| o.counted)
-        .filter_map(|o| o.cx.clone())
-        .collect();
-    counterexamples.sort_by_key(|cx| cx.key());
-    let cutoff = if keep_going {
+    // Fold. Without keep_going, only jobs at or below the winning key
+    // count — exactly the set a canonical-order sequential run would
+    // have executed — which makes the whole report worker-count
+    // independent. Sharded runs fold only owned records (spine jobs
+    // executed for derivation are excluded), so merging shard reports
+    // reproduces the unsharded fold.
+    let Explorer {
+        pool,
+        budget,
+        pass_timer,
+        records,
+        mut fold,
+    } = ex;
+    let failed = records.iter().filter(|r| r.counted && r.cx.is_some());
+    let cutoff = if pool.cancel.keep_going {
         None
     } else {
-        counterexamples.first().map(|cx| cx.key())
+        failed.map(|r| r.key).min()
     };
-    if let Some(cut) = cutoff {
-        counterexamples.retain(|cx| cx.key() <= cut);
+    for rec in records {
+        if rec.counted && cutoff.is_none_or(|cut| rec.key <= cut) {
+            fold.record(rec);
+        }
     }
 
     // Shrink the winning counterexample before the timeline is captured,
@@ -2224,161 +1813,69 @@ pub fn check<S: SpecTS, H: Harness<S>>(harness: &H, config: &CheckConfig) -> Che
     // counterexample, so the result is deterministic at every worker
     // count; its re-runs emit no telemetry and count toward no
     // statistic (DESIGN.md §16).
-    let mut shrink_stats = None;
-    if config.shrink {
-        if let Some(first) = counterexamples.first_mut() {
-            shrink_stats = Some(crate::shrink::shrink_counterexample(
-                harness,
-                first,
-                config.max_steps,
-            ));
-        }
-    }
+    let report = &mut fold.report;
+    let shrink = match report.counterexamples.first_mut() {
+        Some(first) if config.shrink => Some(crate::shrink::shrink_counterexample(
+            harness,
+            first,
+            config.max_steps,
+        )),
+        _ => None,
+    };
 
     // Attach a causal timeline to the winning counterexample by
     // re-running it with the trace recorder on. The re-run is a pure
     // side channel: it emits no telemetry, counts toward no statistic,
     // and the timeline is excluded from campaign JSON and fingerprints,
     // so the report is byte-identical with capture on or off.
-    if config.trace_capture {
-        if let Some(first) = counterexamples.first_mut() {
-            let r = run_one(
+    if let Some(first) = report.counterexamples.first_mut() {
+        if config.trace_capture {
+            let policy = cx_policy(first);
+            first.timeline = run_one(
                 harness,
-                cx_policy(first),
+                &policy,
                 &first.crash_points,
                 &first.faults,
                 first.seed,
                 config.max_steps,
-                false,
                 true,
-            );
-            first.timeline = r.exec_trace;
+            )
+            .exec_trace;
         }
     }
 
-    let mut report = CheckReport {
-        name: harness.name().to_string(),
-        workers,
-        ..CheckReport::default()
-    };
-    let mut per_pass: BTreeMap<Pass, PassMetrics> = BTreeMap::new();
-    let mut crash_point_set: BTreeSet<u64> = BTreeSet::new();
-    let mut trace_set: BTreeSet<u64> = BTreeSet::new();
-    // The profiler folds the same cutoff-filtered outcomes the report
-    // statistics come from, so its counts inherit the worker-count
-    // independence argument instead of needing their own.
-    let mut prof = config.profile.then(crate::profile::ProfileBuilder::default);
-    for out in &outcomes {
-        if !out.counted || cutoff.is_some_and(|cut| out.key > cut) {
-            continue;
-        }
-        report.executions += 1;
-        report.total_steps += out.steps;
-        report.crashes_injected += out.crashes;
-        report.helped_ops += out.helped;
-        report.crash_points += out.swept;
-        report.fault_plans += out.plans;
-        report.disk_reads += out.disk_reads;
-        report.disk_writes += out.disk_writes;
-        report.disk_flushes += out.disk_flushes;
-        report.net_sends += out.net_sends;
-        report.net_recvs += out.net_recvs;
-
-        report.outcomes.record(out.kind);
-        report.steps_hist.record(out.steps);
-        report.depth_hist.record(out.depth);
-        trace_set.insert(out.trace_fp);
-        crash_point_set.extend(out.crash_points.iter().copied());
-        if out.plans > 0 {
-            match out.family {
-                FaultFamily::Disk => coverage.disk_fault_plans_exercised += 1,
-                FaultFamily::Torn => coverage.torn_plans_exercised += 1,
-                FaultFamily::Net => coverage.net_plans_exercised += 1,
-                FaultFamily::None => {}
-            }
-        }
-        let pm = per_pass.entry(out.pass).or_insert(PassMetrics {
-            pass: out.pass,
-            rank: out.key.0,
-            ..PassMetrics::default()
-        });
-        pm.executions += 1;
-        pm.steps += out.steps;
-        pm.crashes += out.crashes as u64;
-        pm.fault_plans += out.plans as u64;
-        pm.failures += u64::from(out.kind != OutcomeKind::Ok);
-        pm.busy_time += out.duration;
-        if let Some(p) = prof.as_mut() {
-            p.record_exec(&crate::profile::ExecCost {
-                pass: out.pass,
-                rank: out.key.0,
-                steps: out.steps,
-                crashes: out.crashes as u64,
-                lock_blocks: out.lock_blocks,
-                disk_ops: out.disk_ops,
-                net_msgs: out.net_msgs,
-                model_ops: out.disk_reads
-                    + out.disk_writes
-                    + out.disk_flushes
-                    + out.net_sends
-                    + out.net_recvs,
-                duration_us: out.duration.as_micros() as u64,
-            });
-            p.record_lock_profile(&out.lock_profile);
-            if let Some(deps) = &out.deps {
-                p.record_deps(&out.decisions, deps);
-            }
-        }
-    }
-    coverage.crash_points_exercised = crash_point_set.len() as u64;
-    coverage.distinct_traces = trace_set.len() as u64;
-    report.crash_point_set = crash_point_set;
-    report.trace_fps = trace_set;
-    report.per_pass = per_pass.into_values().collect();
-    report.coverage = coverage;
-    report.strategy = config.strategy.name().to_string();
-    report.pruned = session.pruned();
-    report.coverage_guided = session.guided();
-    for pm in &mut report.per_pass {
-        if pm.pass == Pass::Dfs {
-            pm.pruned = report.pruned;
-        }
-        if pm.pass == Pass::Random {
-            pm.coverage_guided = report.coverage_guided;
-        }
-    }
-    report.counterexample = counterexamples.first().cloned();
-    report.counterexamples = counterexamples;
-    report.shrink = shrink_stats;
-    report.shard = config.shard;
-    report.replayed = ctx.replayed.load(Ordering::Relaxed);
+    report.shrink = shrink;
+    report.replayed = pool.replayed.load(Ordering::Relaxed);
     if !budget.open() {
-        incomplete.push(format!(
+        report.incomplete.push(format!(
             "execution budget of {} exhausted; later jobs were skipped",
             config.exec_budget
         ));
     }
-    if let Some(e) = telem.stream_error() {
-        incomplete.push(format!("telemetry stream error: {e}"));
+    if let Some(e) = pool.telem.stream_error() {
+        report
+            .incomplete
+            .push(format!("telemetry stream error: {e}"));
     }
-    report.incomplete = incomplete;
     report.wall_time = start.elapsed();
-    report.execs_per_sec = report.executions as f64 / report.wall_time.as_secs_f64().max(1e-9);
-    report.env = telemetry::EnvStamp::current(workers as u64, config.strategy.name());
-    if let Some(p) = prof {
-        let strategy = crate::profile::StrategyProfile {
-            strategy: report.strategy.clone(),
-            pruned: report.pruned,
-            coverage_guided: report.coverage_guided,
+    fold.set_session(session.pruned(), session.guided());
+    let profile = config.profile.then(|| {
+        let introspection = StrategyProfile {
+            strategy: fold.report.strategy.clone(),
+            pruned: session.pruned(),
+            coverage_guided: session.guided(),
             prunes_by_resource: session.prunes_by_resource(),
             coverage: session.coverage_introspection(),
         };
-        report.profile = Some(p.finish(harness.name(), strategy, workers as u64, report.wall_time));
+        Profile::from_fold(&fold, introspection)
+    });
+    let mut report = fold.finish();
+    report.profile = profile;
+    if let Some((prev, started)) = pass_timer {
+        pool.telem
+            .emit(&telemetry::ev_pass_end(prev, started.elapsed()));
     }
-    if let Some((prev, started)) = pass_timer.lock().take() {
-        telem.emit(&telemetry::ev_pass_end(prev, started.elapsed()));
-    }
-    telem.emit(&telemetry::ev_run_end(&report));
+    pool.telem.emit(&telemetry::ev_run_end(&report));
     report
 }
 
@@ -2392,12 +1889,11 @@ pub fn run_scenario<S: SpecTS, H: Harness<S>>(
 ) -> (ExecOutcome, String) {
     let r = run_one(
         harness,
-        Policy::RoundRobin,
+        &Policy::RoundRobin,
         crash_points,
         &FaultPlan::default(),
         config.seed,
         config.max_steps,
-        false,
         false,
     );
     (r.outcome, r.trace)
@@ -2407,18 +1903,19 @@ pub fn run_scenario<S: SpecTS, H: Harness<S>>(
 /// for the DFS pass, the recorded seed (plus corpus prefix) for the
 /// random passes, round-robin for the sweep passes.
 fn cx_policy(cx: &Counterexample) -> Policy {
+    let prefix = cx.schedule_prefix.clone();
     match cx.pass {
-        Pass::Random | Pass::RandomCrash | Pass::RandomCrashProbe => Policy::Random {
-            seed: cx.seed,
-            prefix: cx.schedule_prefix.clone(),
-        },
+        Pass::Random | Pass::RandomCrash | Pass::RandomCrashProbe => Policy::Random { prefix },
         Pass::CrashSweepBase
         | Pass::CrashSweep
         | Pass::NestedCrash
         | Pass::DiskFault
         | Pass::TornWrite
         | Pass::NetFault => Policy::RoundRobin,
-        Pass::Dfs => Policy::DfsPrefix(cx.schedule_prefix.clone()),
+        Pass::Dfs => Policy::Dfs {
+            prefix,
+            track_deps: false,
+        },
     }
 }
 
@@ -2433,12 +1930,11 @@ pub(crate) fn rerun_candidate<S: SpecTS, H: Harness<S>>(
 ) -> (ExecOutcome, Vec<usize>, String) {
     let r = run_one(
         harness,
-        cx_policy(cx),
+        &cx_policy(cx),
         &cx.crash_points,
         &cx.faults,
         cx.seed,
         max_steps,
-        false,
         false,
     );
     (r.outcome, r.clamped, r.trace)
@@ -2458,17 +1954,8 @@ pub fn replay<S: SpecTS, H: Harness<S>>(
     cx: &Counterexample,
     config: &CheckConfig,
 ) -> (ExecOutcome, String) {
-    let r = run_one(
-        harness,
-        cx_policy(cx),
-        &cx.crash_points,
-        &cx.faults,
-        cx.seed,
-        config.max_steps,
-        false,
-        false,
-    );
-    (r.outcome, r.trace)
+    let (outcome, _, trace) = rerun_candidate(harness, cx, config.max_steps);
+    (outcome, trace)
 }
 
 fn splitmix(mut x: u64) -> u64 {

@@ -30,6 +30,7 @@
 pub mod campaign;
 pub mod dashboard;
 pub mod explore;
+pub mod fold;
 pub mod harness;
 pub mod linearize;
 pub mod metrics;
@@ -47,11 +48,12 @@ pub mod timeline;
 pub use campaign::{
     merge_reports, parse_shard, report_fingerprint, report_from_json, report_to_json,
 };
-pub use dashboard::{render_dashboard, Dashboard, ScenarioDash, ShardRun};
+pub use dashboard::{render_dashboard, Dashboard, ScenarioDash};
 pub use explore::{
     check, replay, run_scenario, shard_of, CheckConfig, CheckConfigBuilder, CheckReport,
     Counterexample, ExecOutcome,
 };
+pub use fold::{ExecStats, OutcomeFold};
 pub use goose_rt::fault::{FaultPlan, FaultSurface, IoError, IoResult, NetFault, TornMode};
 pub use harness::{Execution, Harness, PanicOnReset, SpinForever, ThreadBody, World};
 pub use linearize::{check_linearizable, HistOp, Verdict};
@@ -65,7 +67,7 @@ pub use recorder::{Recorder, DROPPED};
 pub use report::{describe_outcome, render_failure, render_summary, verdict_line};
 pub use scenario::{Scenario, ScenarioSet};
 pub use shrink::{failure_fingerprint, shrink_counterexample, ShrinkStats};
-pub use strategy::{CoverageGuided, Exhaustive, Random, SleepSetDpor, Strategy, StrategySession};
+pub use strategy::{CoverageGuided, Exhaustive, SleepSetDpor, Strategy, StrategySession};
 pub use telemetry::{strip_timing, validate_json_line, EnvStamp, TelemetrySink, TIMING_KEYS};
 pub use timeline::{chrome_trace_json, render_explain};
 

@@ -1,24 +1,26 @@
 //! Deterministic run metrics: outcome histograms, per-pass accounting,
 //! and coverage ratios.
 //!
-//! Everything in this module is computed from the explorer's canonical
-//! job outcomes *after* the worker-count-independent cutoff is applied
-//! (see `explore.rs`), so — with the sole exception of the wall-clock
-//! `busy_time` fields — every number here is identical for 1 and 8
-//! workers, and identical with telemetry on or off. The live, racy
+//! Everything in this module is folded from the explorer's canonical
+//! execution records *after* the worker-count-independent cutoff is
+//! applied (see [`crate::fold`]), so — with the sole exception of the
+//! wall-clock `busy_us` fields — every number here is identical for 1
+//! and 8 workers, and identical with telemetry on or off. The live, racy
 //! counters that feed the progress line live in [`crate::telemetry`];
 //! these are the trustworthy ones that end up in [`crate::CheckReport`].
 
 use crate::explore::ExecOutcome;
 use crate::pass::Pass;
+use crate::telemetry::u64_field;
+use serde_json::{Map, Value};
 use std::fmt::Write as _;
-use std::time::Duration;
 
 /// The eight ways an explored execution can end, as a flat tag (the
 /// histogram key; [`ExecOutcome`] carries the full payload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum OutcomeKind {
     /// Every obligation held ([`ExecOutcome::Ok`]).
+    #[default]
     Ok,
     /// Ghost capability rule violated ([`ExecOutcome::Violation`]).
     Violation,
@@ -63,6 +65,22 @@ impl OutcomeKind {
             OutcomeKind::Wedged => "wedged",
             OutcomeKind::HarnessPanic => "harness_panic",
         }
+    }
+
+    /// Parses a [`OutcomeKind::name`] back (telemetry records).
+    pub fn from_name(name: &str) -> Option<Self> {
+        [
+            OutcomeKind::Ok,
+            OutcomeKind::Violation,
+            OutcomeKind::Ub,
+            OutcomeKind::Bug,
+            OutcomeKind::Deadlock,
+            OutcomeKind::FinalCheckFailed,
+            OutcomeKind::Wedged,
+            OutcomeKind::HarnessPanic,
+        ]
+        .into_iter()
+        .find(|k| k.name() == name)
     }
 }
 
@@ -128,6 +146,32 @@ impl OutcomeCounts {
             + self.final_check_failed
             + self.wedged
             + self.harness_panic
+    }
+
+    /// Serializes the tally as an object keyed by [`OutcomeKind::name`],
+    /// zeros included.
+    pub fn to_json(&self) -> Value {
+        let mut m = Map::new();
+        for (name, n) in self.entries() {
+            m.insert(name.to_string(), Value::Number(n as f64));
+        }
+        Value::Object(m)
+    }
+
+    /// Reads a tally written by [`OutcomeCounts::to_json`] (`None` when a
+    /// bucket is missing).
+    pub fn from_json(m: &Map) -> Option<Self> {
+        let n = |key: &str| u64_field(m, key);
+        Some(OutcomeCounts {
+            ok: n("ok")?,
+            violation: n("violation")?,
+            ub: n("ub")?,
+            bug: n("bug")?,
+            deadlock: n("deadlock")?,
+            final_check_failed: n("final_check_failed")?,
+            wedged: n("wedged")?,
+            harness_panic: n("harness_panic")?,
+        })
     }
 
     /// `(name, count)` pairs in canonical order, zeros included.
@@ -275,7 +319,8 @@ impl Histogram {
     }
 }
 
-/// Accounting for one exploration pass, accumulated over its executions.
+/// Accounting for one exploration pass, accumulated over its executions:
+/// the report's per-pass rows and the profile's per-pass cost table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PassMetrics {
     /// Which pass.
@@ -298,10 +343,38 @@ pub struct PassMetrics {
     /// Executions re-seeded by coverage feedback (attributed to the
     /// random pass; 0 elsewhere and under non-guided strategies).
     pub coverage_guided: u64,
-    /// Summed per-execution wall time across the pass. The one
+    /// Times a thread parked on a held model lock.
+    pub lock_blocks: u64,
+    /// Disk operations consulted against the fault plan.
+    pub disk_ops: u64,
+    /// Network sends consulted against the fault plan.
+    pub net_msgs: u64,
+    /// Block reads + writes + flushes + net sends + net receives (the
+    /// `SchedStats` model-op accounting, folded).
+    pub model_ops: u64,
+    /// Summed per-execution wall time across the pass, µs. The one
     /// timing-dependent field in this module: with a pool, passes
     /// overlap on the wall clock, so this is *busy* time, not elapsed.
-    pub busy_time: Duration,
+    pub busy_us: u64,
+}
+
+impl PassMetrics {
+    /// Adds another row of the same pass into this one (shard merging):
+    /// counts sum, the strategy's session counters agree across shards.
+    pub fn merge(&mut self, o: &PassMetrics) {
+        self.executions += o.executions;
+        self.steps += o.steps;
+        self.crashes += o.crashes;
+        self.fault_plans += o.fault_plans;
+        self.failures += o.failures;
+        self.pruned = self.pruned.max(o.pruned);
+        self.coverage_guided = self.coverage_guided.max(o.coverage_guided);
+        self.lock_blocks += o.lock_blocks;
+        self.disk_ops += o.disk_ops;
+        self.net_msgs += o.net_msgs;
+        self.model_ops += o.model_ops;
+        self.busy_us += o.busy_us;
+    }
 }
 
 /// Coverage accounting: how much of each enumerable sweep space the run
@@ -335,6 +408,25 @@ pub struct Coverage {
 }
 
 impl Coverage {
+    /// Folds another run's coverage of the same scenario into this one:
+    /// exercised plans are per-execution counts (sum), enumerable
+    /// horizons are probe-derived and agree across shards (max), and the
+    /// set-backed counts take the larger side — the caller replaces them
+    /// with the size of the unioned set when it has the sets.
+    pub fn merge(&mut self, o: &Coverage) {
+        self.crash_points_exercised = self.crash_points_exercised.max(o.crash_points_exercised);
+        self.crash_points_enumerable = self.crash_points_enumerable.max(o.crash_points_enumerable);
+        self.disk_fault_plans_exercised += o.disk_fault_plans_exercised;
+        self.disk_fault_plans_enumerable = self
+            .disk_fault_plans_enumerable
+            .max(o.disk_fault_plans_enumerable);
+        self.torn_plans_exercised += o.torn_plans_exercised;
+        self.torn_plans_enumerable = self.torn_plans_enumerable.max(o.torn_plans_enumerable);
+        self.net_plans_exercised += o.net_plans_exercised;
+        self.net_plans_enumerable = self.net_plans_enumerable.max(o.net_plans_enumerable);
+        self.distinct_traces = self.distinct_traces.max(o.distinct_traces);
+    }
+
     fn ratio(done: u64, total: u64) -> f64 {
         if total == 0 {
             // Nothing enumerable (sweep disabled or no surface): treat

@@ -4,12 +4,11 @@
 //! when the ROADMAP's "as fast as the hardware allows" goal slips:
 //! which *pass* burned the executions and steps, which *resource* the
 //! schedules fought over, what the *strategy* did with its feedback,
-//! and whether the *workers* were actually busy. It is aggregated from
-//! the same canonical job outcomes the report statistics come from —
-//! inside the cutoff-filtered loop of `explore::check` — so every count
-//! obeys the PR-1 determinism contract: identical at every worker
-//! count, and unchanged by enabling the profiler itself
-//! (DESIGN.md §15).
+//! and whether the *workers* were actually busy. It is built from the
+//! same [`OutcomeFold`] the report statistics come from — its per-pass
+//! table *is* the report's per-pass rows — so every count obeys the
+//! determinism contract: identical at every worker count, and unchanged
+//! by enabling the profiler itself (DESIGN.md §15).
 //!
 //! Determinism boundary: the only wall-clock data in a profile are the
 //! per-pass `busy_time_us` attribution and the [`WorkerUtilization`]
@@ -25,23 +24,18 @@
 //! building it reads counters the explorer already collected — it
 //! schedules no execution and emits no telemetry.
 
-use crate::pass::Pass;
-use crate::strategy::{CoverageIntrospection, DepTrace};
+use crate::fold::{ExecRecord, OutcomeFold};
+use crate::metrics::PassMetrics;
+use crate::strategy::CoverageIntrospection;
+use crate::telemetry::hex64;
 use goose_rt::sched::{res, Tid};
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::time::Duration;
 
 /// Contended-resource rows kept after ranking (the hotspot table stays
 /// readable; the dropped tail is noted in the render).
 const RESOURCE_TOP: usize = 12;
-
-/// See `telemetry::hex64`: 64-bit ids go into JSON as fixed-width hex
-/// strings so they survive the shim's f64 numbers.
-fn hex64(v: u64) -> String {
-    format!("{v:#018x}")
-}
 
 /// Human name of a resource id's class (the high byte of the
 /// `goose_rt::sched::res` naming scheme).
@@ -59,34 +53,6 @@ pub fn resource_kind(id: u64) -> &'static str {
         x if x == res::NET_FAULT_CTR => "net-fault",
         _ => "other",
     }
-}
-
-/// Cost attribution of one pass: executions, steps, and model-op
-/// counters summed over the pass's counted executions, plus the wall
-/// time those executions took (`busy_us`, the lone timing field).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PassCost {
-    /// Pass name.
-    pub pass: String,
-    /// Pass rank (canonical ordering key).
-    pub rank: u8,
-    /// Executions counted toward this pass.
-    pub executions: u64,
-    /// Scheduler grants summed over the pass's executions.
-    pub steps: u64,
-    /// Crashes injected by the pass.
-    pub crashes: u64,
-    /// Times a thread parked on a held model lock.
-    pub lock_blocks: u64,
-    /// Disk operations consulted against the fault plan.
-    pub disk_ops: u64,
-    /// Network sends consulted against the fault plan.
-    pub net_msgs: u64,
-    /// Block reads + writes + flushes + net sends + net receives (the
-    /// `SchedStats` model-op accounting, folded).
-    pub model_ops: u64,
-    /// Summed wall time of the pass's executions, µs (timing-only).
-    pub busy_us: u64,
 }
 
 /// One contended resource: how often schedules fought over it.
@@ -112,6 +78,13 @@ impl ResourceRow {
     /// Ranking weight for the hotspot table.
     fn weight(&self) -> u64 {
         self.lock_blocks + self.collisions + self.prunes
+    }
+
+    /// Adds another tally of the same resource (fold merging).
+    pub fn add(&mut self, o: &ResourceRow) {
+        self.lock_blocks += o.lock_blocks;
+        self.collisions += o.collisions;
+        self.prunes += o.prunes;
     }
 }
 
@@ -161,8 +134,9 @@ impl WorkerUtilization {
 pub struct Profile {
     /// Scenario name the profile belongs to.
     pub scenario: String,
-    /// Per-pass cost attribution, in canonical rank order.
-    pub passes: Vec<PassCost>,
+    /// Per-pass cost attribution, in canonical rank order — the
+    /// report's own per-pass rows.
+    pub passes: Vec<PassMetrics>,
     /// Top contended resources, ranked by blocks + collisions + prunes
     /// (ties broken by resource id, so the order is deterministic).
     pub resources: Vec<ResourceRow>,
@@ -175,123 +149,62 @@ pub struct Profile {
     pub workers: WorkerUtilization,
 }
 
-/// One counted execution's contribution to the profile.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecCost {
-    /// Pass the execution ran under.
-    pub pass: Pass,
-    /// The pass's rank.
-    pub rank: u8,
-    /// Scheduler grants consumed.
-    pub steps: u64,
-    /// Crashes injected.
-    pub crashes: u64,
-    /// Times a thread parked on a held model lock.
-    pub lock_blocks: u64,
-    /// Disk operations consulted against the fault plan.
-    pub disk_ops: u64,
-    /// Network sends consulted against the fault plan.
-    pub net_msgs: u64,
-    /// Folded model-op count (reads + writes + flushes + sends + recvs).
-    pub model_ops: u64,
-    /// Wall time of the execution, µs (timing-only).
-    pub duration_us: u64,
+fn resource(resources: &mut BTreeMap<u64, ResourceRow>, id: u64) -> &mut ResourceRow {
+    resources.entry(id).or_insert_with(|| ResourceRow {
+        resource: id,
+        kind: resource_kind(id),
+        ..ResourceRow::default()
+    })
 }
 
-/// Accumulates a [`Profile`] from canonical job outcomes. Driven by
-/// `explore::check` inside the same cutoff-filtered aggregation loop
-/// that builds the report statistics, so worker-count independence is
-/// inherited rather than re-proved.
-#[derive(Debug, Default)]
-pub struct ProfileBuilder {
-    per_pass: BTreeMap<(u8, Pass), PassCost>,
-    resources: BTreeMap<u64, ResourceRow>,
-    busy_us: u64,
+/// Folds one execution's contention into the resource table: its
+/// per-lock park counts (`ModelRt::lock_block_profile`), and — for
+/// DPOR-tracked executions — its dependency-footprint collisions. A
+/// resource collides when at least two threads touched it with a write
+/// on some side — exactly the non-commutable overlaps the sleep sets
+/// reason about — and every granted step touching such a resource
+/// counts as one collision.
+pub(crate) fn record_contention(resources: &mut BTreeMap<u64, ResourceRow>, rec: &ExecRecord) {
+    for (id, blocks) in &rec.lock_profile {
+        resource(resources, *id).lock_blocks += blocks;
+    }
+    let Some(deps) = &rec.deps else { return };
+    let mut acc: BTreeMap<u64, (BTreeSet<Tid>, u64, bool)> = BTreeMap::new();
+    for (d, accesses) in deps.accesses.iter().enumerate() {
+        let granted = deps
+            .runnables
+            .get(d)
+            .zip(rec.decisions.get(d))
+            .and_then(|(runnable, (choice, _))| runnable.get(*choice))
+            .copied();
+        let Some(tid) = granted else { continue };
+        for a in accesses {
+            let e = acc
+                .entry(a.resource)
+                .or_insert_with(|| (BTreeSet::new(), 0, false));
+            e.0.insert(tid);
+            e.1 += 1;
+            e.2 |= a.write;
+        }
+    }
+    for (id, (tids, touches, wrote)) in acc {
+        if tids.len() >= 2 && wrote {
+            resource(resources, id).collisions += touches;
+        }
+    }
 }
 
-impl ProfileBuilder {
-    /// Folds one counted execution into the per-pass table.
-    pub fn record_exec(&mut self, c: &ExecCost) {
-        let row = self
-            .per_pass
-            .entry((c.rank, c.pass))
-            .or_insert_with(|| PassCost {
-                pass: c.pass.name().to_string(),
-                rank: c.rank,
-                ..PassCost::default()
-            });
-        row.executions += 1;
-        row.steps += c.steps;
-        row.crashes += c.crashes;
-        row.lock_blocks += c.lock_blocks;
-        row.disk_ops += c.disk_ops;
-        row.net_msgs += c.net_msgs;
-        row.model_ops += c.model_ops;
-        row.busy_us += c.duration_us;
-        self.busy_us += c.duration_us;
-    }
-
-    fn resource(&mut self, id: u64) -> &mut ResourceRow {
-        self.resources.entry(id).or_insert_with(|| ResourceRow {
-            resource: id,
-            kind: resource_kind(id),
-            ..ResourceRow::default()
-        })
-    }
-
-    /// Folds one execution's per-lock contention counts
-    /// (`ModelRt::lock_block_profile`).
-    pub fn record_lock_profile(&mut self, profile: &[(u64, u64)]) {
-        for (id, blocks) in profile {
-            self.resource(*id).lock_blocks += blocks;
-        }
-    }
-
-    /// Folds one DPOR-tracked execution's dependency footprints into
-    /// the collision table: a resource collides when at least two
-    /// threads touched it with a write on some side — exactly the
-    /// non-commutable overlaps the sleep sets reason about — and every
-    /// granted step touching such a resource counts as one collision.
-    pub fn record_deps(&mut self, decisions: &[(usize, usize)], deps: &DepTrace) {
-        let mut acc: BTreeMap<u64, (BTreeSet<Tid>, u64, bool)> = BTreeMap::new();
-        for (d, accesses) in deps.accesses.iter().enumerate() {
-            let granted = deps
-                .runnables
-                .get(d)
-                .zip(decisions.get(d))
-                .and_then(|(runnable, (choice, _))| runnable.get(*choice))
-                .copied();
-            let Some(tid) = granted else { continue };
-            for a in accesses {
-                let e = acc
-                    .entry(a.resource)
-                    .or_insert_with(|| (BTreeSet::new(), 0, false));
-                e.0.insert(tid);
-                e.1 += 1;
-                e.2 |= a.write;
-            }
-        }
-        for (id, (tids, touches, wrote)) in acc {
-            if tids.len() >= 2 && wrote {
-                self.resource(id).collisions += touches;
-            }
-        }
-    }
-
-    /// Finishes the profile: merges the strategy's per-resource prune
-    /// attribution into the contention table, ranks it, and attaches
-    /// the worker-utilization summary.
-    pub fn finish(
-        mut self,
-        scenario: &str,
-        strategy: StrategyProfile,
-        workers: u64,
-        wall: Duration,
-    ) -> Profile {
+impl Profile {
+    /// Builds a check's profile from its fold: the per-pass rows, the
+    /// contention table with the strategy's per-resource prune
+    /// attribution merged in and ranked, and the worker-utilization
+    /// summary.
+    pub fn from_fold(fold: &OutcomeFold, strategy: StrategyProfile) -> Profile {
+        let mut resources = fold.resources.clone().unwrap_or_default();
         for (id, prunes) in &strategy.prunes_by_resource {
-            self.resource(*id).prunes += prunes;
+            resource(&mut resources, *id).prunes += prunes;
         }
-        let mut rows: Vec<ResourceRow> = self.resources.into_values().collect();
+        let mut rows: Vec<ResourceRow> = resources.into_values().collect();
         rows.sort_by(|a, b| {
             b.weight()
                 .cmp(&a.weight())
@@ -299,16 +212,17 @@ impl ProfileBuilder {
         });
         let dropped = rows.len().saturating_sub(RESOURCE_TOP) as u64;
         rows.truncate(RESOURCE_TOP);
+        let r = &fold.report;
         Profile {
-            scenario: scenario.to_string(),
-            passes: self.per_pass.into_values().collect(),
+            scenario: r.name.clone(),
+            passes: r.per_pass.clone(),
             resources: rows,
             resources_dropped: dropped,
             strategy,
             workers: WorkerUtilization {
-                workers,
-                busy_us: self.busy_us,
-                wall_us: wall.as_micros() as u64,
+                workers: r.workers as u64,
+                busy_us: r.per_pass.iter().map(|pm| pm.busy_us).sum(),
+                wall_us: r.wall_time.as_micros() as u64,
             },
         }
     }
@@ -326,7 +240,7 @@ pub fn profile_to_json(p: &Profile) -> Value {
             .iter()
             .map(|pc| {
                 json!({
-                    "pass": pc.pass,
+                    "pass": pc.pass.name(),
                     "rank": pc.rank,
                     "executions": pc.executions,
                     "steps": pc.steps,
@@ -380,7 +294,9 @@ pub fn profile_to_json(p: &Profile) -> Value {
     })
 }
 
-fn pct(part: u64, whole: u64) -> String {
+/// `part` as a right-aligned whole percentage of `whole` (`  -` when
+/// `whole` is 0) — shared by the profile and dashboard tables.
+pub(crate) fn pct(part: u64, whole: u64) -> String {
     if whole == 0 {
         "  -".to_string()
     } else {
@@ -388,7 +304,8 @@ fn pct(part: u64, whole: u64) -> String {
     }
 }
 
-fn bar(part: u64, whole: u64, width: usize) -> String {
+/// A `#` bar of `width` characters at full scale.
+pub(crate) fn bar(part: u64, whole: u64, width: usize) -> String {
     if whole == 0 {
         return String::new();
     }
@@ -475,34 +392,46 @@ pub fn render_profile(p: &Profile) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fold::ExecStats;
+    use crate::pass::Pass;
+    use crate::strategy::DepTrace;
     use goose_rt::sched::StepAccess;
+    use std::time::Duration;
 
-    fn cost(pass: Pass, steps: u64, blocks: u64) -> ExecCost {
-        ExecCost {
+    fn exec(pass: Pass, steps: u64, blocks: u64) -> ExecRecord {
+        ExecRecord {
             pass,
-            rank: pass.rank(),
-            steps,
-            crashes: 0,
-            lock_blocks: blocks,
-            disk_ops: 0,
-            net_msgs: 0,
-            model_ops: 0,
-            duration_us: 10,
+            stats: ExecStats {
+                steps,
+                lock_blocks: blocks,
+                ..ExecStats::default()
+            },
+            duration: Duration::from_micros(10),
+            ..ExecRecord::default()
+        }
+    }
+
+    /// A fold that collects contention, as `check` builds when profiling.
+    fn profiling_fold(workers: usize, wall_us: u64) -> OutcomeFold {
+        let report = crate::CheckReport {
+            name: "s".into(),
+            workers,
+            wall_time: Duration::from_micros(wall_us),
+            ..Default::default()
+        };
+        OutcomeFold {
+            report,
+            resources: Some(BTreeMap::new()),
         }
     }
 
     #[test]
-    fn builder_attributes_costs_per_pass_in_rank_order() {
-        let mut b = ProfileBuilder::default();
-        b.record_exec(&cost(Pass::Random, 5, 1));
-        b.record_exec(&cost(Pass::Dfs, 10, 2));
-        b.record_exec(&cost(Pass::Dfs, 10, 0));
-        let p = b.finish(
-            "s",
-            StrategyProfile::default(),
-            4,
-            Duration::from_micros(100),
-        );
+    fn fold_attributes_costs_per_pass_in_rank_order() {
+        let mut f = profiling_fold(4, 100);
+        f.record(exec(Pass::Random, 5, 1));
+        f.record(exec(Pass::Dfs, 10, 2));
+        f.record(exec(Pass::Dfs, 10, 0));
+        let p = Profile::from_fold(&f, StrategyProfile::default());
         assert_eq!(p.passes.len(), 2);
         assert_eq!(p.passes[0].pass, "dfs");
         assert_eq!(p.passes[0].executions, 2);
@@ -526,11 +455,14 @@ mod tests {
                 vec![StepAccess::write(private)],
             ],
         };
-        // Grants: thread 0, thread 1, thread 0.
-        let decisions = vec![(0, 2), (1, 2), (0, 2)];
-        let mut b = ProfileBuilder::default();
-        b.record_deps(&decisions, &deps);
-        let p = b.finish("s", StrategyProfile::default(), 1, Duration::ZERO);
+        let mut f = profiling_fold(1, 0);
+        f.record(ExecRecord {
+            // Grants: thread 0, thread 1, thread 0.
+            decisions: vec![(0, 2), (1, 2), (0, 2)],
+            deps: Some(deps),
+            ..ExecRecord::default()
+        });
+        let p = Profile::from_fold(&f, StrategyProfile::default());
         assert_eq!(p.resources.len(), 1, "{:?}", p.resources);
         assert_eq!(p.resources[0].resource, shared);
         assert_eq!(p.resources[0].kind, "lock");
@@ -539,10 +471,12 @@ mod tests {
 
     #[test]
     fn resource_table_ranks_by_weight_and_notes_the_dropped_tail() {
-        let mut b = ProfileBuilder::default();
-        let rows: Vec<(u64, u64)> = (0..20).map(|i| (res::LOCK | i, 20 - i)).collect();
-        b.record_lock_profile(&rows);
-        let p = b.finish("s", StrategyProfile::default(), 1, Duration::ZERO);
+        let mut f = profiling_fold(1, 0);
+        f.record(ExecRecord {
+            lock_profile: (0..20).map(|i| (res::LOCK | i, 20 - i)).collect(),
+            ..ExecRecord::default()
+        });
+        let p = Profile::from_fold(&f, StrategyProfile::default());
         assert_eq!(p.resources.len(), RESOURCE_TOP);
         assert_eq!(p.resources_dropped, 20 - RESOURCE_TOP as u64);
         assert_eq!(p.resources[0].lock_blocks, 20, "heaviest first");
@@ -552,18 +486,13 @@ mod tests {
 
     #[test]
     fn profile_json_hides_all_timing_under_timing_keys() {
-        let mut b = ProfileBuilder::default();
-        b.record_exec(&cost(Pass::Dfs, 10, 1));
-        let p = b.finish(
-            "s",
-            StrategyProfile {
-                strategy: "exhaustive".to_string(),
-                ..StrategyProfile::default()
-            },
-            8,
-            Duration::from_micros(500),
-        );
-        let v = profile_to_json(&p);
+        let mut f = profiling_fold(8, 500);
+        f.record(exec(Pass::Dfs, 10, 1));
+        let strategy = StrategyProfile {
+            strategy: "exhaustive".to_string(),
+            ..StrategyProfile::default()
+        };
+        let v = profile_to_json(&Profile::from_fold(&f, strategy));
         let stripped = crate::telemetry::strip_timing(&v);
         let text = serde_json::to_string(&stripped).unwrap();
         for key in ["busy_time_us", "utilization", "duration_us"] {

@@ -51,7 +51,7 @@ fn render_pass_breakdown(report: &CheckReport) -> String {
             pm.executions,
             pm.steps,
             extras,
-            pm.busy_time.as_secs_f64()
+            pm.busy_us as f64 / 1e6
         );
     }
     out

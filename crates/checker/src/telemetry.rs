@@ -18,13 +18,14 @@
 //!   ([`CheckConfig::progress_every`](crate::CheckConfig)). These are
 //!   wall-clock-ordered and therefore *not* the numbers reported in
 //!   [`crate::CheckReport`]; the deterministic ones are computed in
-//!   `explore.rs` from canonical job outcomes (see [`crate::metrics`]).
+//!   [`crate::OutcomeFold`] from canonical execution records.
 
 use crate::explore::{CheckConfig, CheckReport, Counterexample};
-use crate::metrics::OutcomeKind;
+use crate::fold::{ExecRecord, ExecStats};
+use crate::metrics::{OutcomeCounts, OutcomeKind};
 use crate::pass::Pass;
 use parking_lot::Mutex;
-use serde_json::{json, Value};
+use serde_json::{json, Map, Value};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -262,8 +263,54 @@ impl RunTelemetry {
 /// zero-padded to 16 hex digits (18 chars with the `0x` prefix) so hex
 /// fields are fixed-width, lexicographically ordered, and trivially
 /// greppable across a campaign's worth of streams.
-fn hex64(v: u64) -> String {
+pub(crate) fn hex64(v: u64) -> String {
     format!("{v:#018x}")
+}
+
+// Typed field getters shared by every reader of checker JSON (WAL
+// replay, report deserialization, dashboards): `None` when the field is
+// missing or has the wrong type.
+
+/// `m[key]` as a non-negative integer.
+pub(crate) fn u64_field(m: &Map, key: &str) -> Option<u64> {
+    f64_field(m, key).filter(|n| *n >= 0.0).map(|n| n as u64)
+}
+
+/// `m[key]` as a number.
+pub(crate) fn f64_field(m: &Map, key: &str) -> Option<f64> {
+    match m.get(key) {
+        Some(Value::Number(n)) => Some(*n),
+        _ => None,
+    }
+}
+
+/// `m[key]` as a string.
+pub(crate) fn str_field<'a>(m: &'a Map, key: &str) -> Option<&'a str> {
+    match m.get(key) {
+        Some(Value::String(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// `m[key]` as a [`hex64`] string, decoded.
+pub(crate) fn hex_field(m: &Map, key: &str) -> Option<u64> {
+    u64::from_str_radix(str_field(m, key)?.trim_start_matches("0x"), 16).ok()
+}
+
+/// `m[key]` as an array.
+pub(crate) fn arr_field<'a>(m: &'a Map, key: &str) -> Option<&'a [Value]> {
+    match m.get(key) {
+        Some(Value::Array(items)) => Some(items),
+        _ => None,
+    }
+}
+
+/// `m[key]` as an object.
+pub(crate) fn obj_field<'a>(m: &'a Map, key: &str) -> Option<&'a Map> {
+    match m.get(key) {
+        Some(Value::Object(o)) => Some(o),
+        _ => None,
+    }
 }
 
 /// Where a record was produced: toolchain, crate version, worker count,
@@ -309,18 +356,11 @@ impl EnvStamp {
     /// field is missing or mistyped.
     pub fn from_json(v: &Value) -> Option<EnvStamp> {
         let Value::Object(m) = v else { return None };
-        let s = |key: &str| match m.get(key) {
-            Some(Value::String(s)) => Some(s.clone()),
-            _ => None,
-        };
         Some(EnvStamp {
-            rustc: s("rustc")?,
-            crate_version: s("crate_version")?,
-            workers: match m.get("workers") {
-                Some(Value::Number(n)) if *n >= 0.0 => *n as u64,
-                _ => return None,
-            },
-            strategy: s("strategy")?,
+            rustc: str_field(m, "rustc")?.to_string(),
+            crate_version: str_field(m, "crate_version")?.to_string(),
+            workers: u64_field(m, "workers")?,
+            strategy: str_field(m, "strategy")?.to_string(),
         })
     }
 }
@@ -368,76 +408,38 @@ pub fn ev_pass_end(pass: Pass, duration: Duration) -> Value {
     })
 }
 
-/// One finished execution, as recorded in the JSONL stream. The record
-/// doubles as the campaign WAL entry: it carries every deterministic
-/// statistic a resumed run needs to reconstruct the execution's
-/// outcome record without re-running it.
-#[derive(Debug, Clone)]
-pub struct ExecEvent<'a> {
-    /// Which pass produced this execution.
-    pub pass: Pass,
-    /// The execution's index within its pass (job key = rank + index).
-    pub index: u64,
-    /// The per-execution PRNG seed.
-    pub seed: u64,
-    /// How the execution ended.
-    pub outcome: OutcomeKind,
-    /// Scheduler grants consumed.
-    pub steps: u64,
-    /// Deepest schedule depth reached.
-    pub depth: u64,
-    /// Crashes injected during the execution.
-    pub crashes: u64,
-    /// Helping steps granted to blocked threads.
-    pub helped: u64,
-    /// Times a thread blocked on a contended lock.
-    pub lock_blocks: u64,
-    /// Total disk operations (reads + writes + flushes).
-    pub disk_ops: u64,
-    /// Total network messages (sends + receives).
-    pub net_msgs: u64,
-    /// Disk reads performed.
-    pub disk_reads: u64,
-    /// Disk writes performed.
-    pub disk_writes: u64,
-    /// Disk flushes performed.
-    pub disk_flushes: u64,
-    /// Network sends performed.
-    pub net_sends: u64,
-    /// Network receives performed.
-    pub net_recvs: u64,
-    /// FNV fingerprint of the execution's ghost trace.
-    pub trace_fp: u64,
-    /// Compact description of the fault plan in force (empty = none).
-    pub faults: &'a str,
-    /// Wall-clock time the execution took (a [`TIMING_KEYS`] field).
-    pub duration: Duration,
+/// The `exec_done` record for one finished execution. It doubles as the
+/// campaign WAL entry: it carries every deterministic statistic a
+/// resumed run needs to reconstruct the execution's record without
+/// re-running it. `faults` is the plan's compact description.
+pub(crate) fn ev_exec_done(rec: &ExecRecord, faults: &str) -> Value {
+    let mut ev = json!({
+        "type": "exec_done",
+        "pass": rec.pass.name(),
+        "index": rec.key.1,
+        "seed": hex64(rec.seed),
+        "outcome": rec.outcome.name(),
+        "faults": faults,
+        "duration_us": (rec.duration.as_micros() as u64),
+    });
+    if let Value::Object(m) = &mut ev {
+        rec.stats.write_json(m);
+    }
+    ev
 }
 
-/// The `exec_done` record (also the campaign WAL entry) for one
-/// finished execution.
-pub fn ev_exec_done(e: &ExecEvent<'_>) -> Value {
-    json!({
-        "type": "exec_done",
-        "pass": e.pass.name(),
-        "index": e.index,
-        "seed": hex64(e.seed),
-        "outcome": e.outcome.name(),
-        "steps": e.steps,
-        "depth": e.depth,
-        "crashes": e.crashes,
-        "helped": e.helped,
-        "lock_blocks": e.lock_blocks,
-        "disk_ops": e.disk_ops,
-        "net_msgs": e.net_msgs,
-        "disk_reads": e.disk_reads,
-        "disk_writes": e.disk_writes,
-        "disk_flushes": e.disk_flushes,
-        "net_sends": e.net_sends,
-        "net_recvs": e.net_recvs,
-        "trace_fp": hex64(e.trace_fp),
-        "faults": e.faults,
-        "duration_us": (e.duration.as_micros() as u64),
+/// Reads an `exec_done` record back: job key, seed, outcome, counters,
+/// and duration (`None` when a required field is missing).
+pub(crate) fn parse_exec_done(m: &Map) -> Option<ExecRecord> {
+    let pass: Pass = str_field(m, "pass")?.parse().ok()?;
+    Some(ExecRecord {
+        key: (pass.rank(), u64_field(m, "index")?),
+        pass,
+        seed: hex_field(m, "seed").unwrap_or(0),
+        outcome: OutcomeKind::from_name(str_field(m, "outcome")?)?,
+        stats: ExecStats::from_json(m)?,
+        duration: Duration::from_micros(u64_field(m, "duration_us").unwrap_or(0)),
+        ..ExecRecord::default()
     })
 }
 
@@ -460,10 +462,6 @@ pub fn ev_counterexample(cx: &Counterexample) -> Value {
 /// Shrink statistics are appended only when shrinking ran, so
 /// shrink-off streams stay byte-identical to pre-shrink ones.
 pub fn ev_run_end(report: &CheckReport) -> Value {
-    let mut outcomes = serde_json::Map::new();
-    for (name, n) in report.outcomes.entries() {
-        outcomes.insert(name.to_string(), serde_json::to_value(&n));
-    }
     let mut ev = json!({
         "type": "run_end",
         "scenario": report.name,
@@ -479,7 +477,7 @@ pub fn ev_run_end(report: &CheckReport) -> Value {
         "net_sends": report.net_sends,
         "net_recvs": report.net_recvs,
         "counterexamples": report.counterexamples.len(),
-        "outcomes": Value::Object(outcomes),
+        "outcomes": report.outcomes.to_json(),
         "crash_points_exercised": report.coverage.crash_points_exercised,
         "crash_points_enumerable": report.coverage.crash_points_enumerable,
         "fault_plans_exercised": report.coverage.fault_plans_exercised(),
@@ -513,6 +511,52 @@ pub fn ev_run_end(report: &CheckReport) -> Value {
     ev
 }
 
+/// Reads a `run_end` record back as a partial report of that run's
+/// totals — what the campaign dashboard merges across shards. The record carries no
+/// sets, per-pass rows, or helped ops, so once merged its set-backed
+/// coverage counts are lower bounds (see
+/// [`OutcomeFold::merge`](crate::OutcomeFold::merge)). Its
+/// fault-plan counts are pooled over the three surfaces; they land in
+/// the disk slots, so only the pooled sums
+/// ([`crate::Coverage::fault_plans_exercised`] and
+/// [`crate::Coverage::fault_plans_enumerable`]) are meaningful.
+pub fn parse_run_end(m: &Map) -> CheckReport {
+    let n = |key: &str| u64_field(m, key).unwrap_or(0);
+    let mut f = CheckReport {
+        executions: n("executions") as usize,
+        total_steps: n("total_steps"),
+        crashes_injected: n("crashes_injected") as usize,
+        crash_points: n("crash_points") as usize,
+        fault_plans: n("fault_plans") as usize,
+        disk_reads: n("disk_reads"),
+        disk_writes: n("disk_writes"),
+        disk_flushes: n("disk_flushes"),
+        net_sends: n("net_sends"),
+        net_recvs: n("net_recvs"),
+        pruned: n("pruned"),
+        coverage_guided: n("coverage_guided"),
+        outcomes: obj_field(m, "outcomes")
+            .and_then(OutcomeCounts::from_json)
+            .unwrap_or_default(),
+        replayed: n("replayed"),
+        workers: n("workers") as usize,
+        wall_time: Duration::from_secs_f64(f64_field(m, "wall_time_s").unwrap_or(0.0).max(0.0)),
+        ..CheckReport::default()
+    };
+    let cov = &mut f.coverage;
+    cov.crash_points_exercised = n("crash_points_exercised");
+    cov.crash_points_enumerable = n("crash_points_enumerable");
+    cov.disk_fault_plans_exercised = n("fault_plans_exercised");
+    cov.disk_fault_plans_enumerable = n("fault_plans_enumerable");
+    cov.distinct_traces = n("distinct_traces");
+    for msg in arr_field(m, "incomplete").unwrap_or_default() {
+        if let Value::String(msg) = msg {
+            f.incomplete.push(msg.clone());
+        }
+    }
+    f
+}
+
 /// Keys whose values are wall-clock dependent. Strip these before
 /// comparing two streams of the same seeded run for byte equality.
 /// `busy_time_us` and `utilization` appear only in profile JSON
@@ -533,45 +577,9 @@ pub fn validate_json_line(line: &str) -> Result<String, String> {
     let Value::Object(map) = &v else {
         return Err("telemetry line is not a JSON object".to_string());
     };
-    match map.get("type") {
-        Some(Value::String(t)) => Ok(t.clone()),
-        _ => Err("telemetry line has no string \"type\" field".to_string()),
-    }
-}
-
-/// Deterministic statistics of one completed execution, recovered from
-/// an `exec_done` WAL record. Everything a resumed run needs to
-/// synthesize the execution's outcome without re-running it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalExec {
-    /// Scheduler grants the execution consumed.
-    pub steps: u64,
-    /// Crashes injected during the execution.
-    pub crashes: u64,
-    /// Helping steps granted to blocked threads.
-    pub helped: u64,
-    /// Deepest schedule depth reached.
-    pub depth: u64,
-    /// Total disk operations.
-    pub disk_ops: u64,
-    /// Total network messages.
-    pub net_msgs: u64,
-    /// Disk reads performed.
-    pub disk_reads: u64,
-    /// Disk writes performed.
-    pub disk_writes: u64,
-    /// Disk flushes performed.
-    pub disk_flushes: u64,
-    /// Network sends performed.
-    pub net_sends: u64,
-    /// Network receives performed.
-    pub net_recvs: u64,
-    /// Lock-contention count, preserved across resume so profiles built
-    /// from replayed outcomes keep their per-pass totals (per-lock
-    /// attribution is not in the WAL and resets to empty on replay).
-    pub lock_blocks: u64,
-    /// FNV fingerprint of the execution's ghost trace.
-    pub trace_fp: u64,
+    str_field(map, "type")
+        .map(str::to_string)
+        .ok_or_else(|| "telemetry line has no string \"type\" field".to_string())
 }
 
 /// The recovered state of an interrupted (or completed) run: which
@@ -582,7 +590,7 @@ pub struct WalReplay {
     /// Successfully completed executions by job key `(pass rank, index)`.
     /// Only `ok` outcomes are recorded: failures are cheap to re-run and
     /// must be, to regenerate their counterexample payloads.
-    pub completed: std::collections::BTreeMap<(u8, u64), WalExec>,
+    pub completed: std::collections::BTreeMap<(u8, u64), ExecStats>,
     /// Number of `run_start` records seen (1 = first resume of a clean
     /// run; more = the WAL has been resumed into before).
     pub runs_started: u64,
@@ -591,20 +599,6 @@ pub struct WalReplay {
     pub torn_lines: u64,
     /// The last `run_start` record, for the config guard.
     pub run_start: Option<Value>,
-}
-
-fn field_u64(map: &serde_json::Map, key: &str) -> Option<u64> {
-    match map.get(key) {
-        Some(Value::Number(n)) if *n >= 0.0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
-fn field_hex(map: &serde_json::Map, key: &str) -> Option<u64> {
-    match map.get(key) {
-        Some(Value::String(s)) => u64::from_str_radix(s.trim_start_matches("0x"), 16).ok(),
-        _ => None,
-    }
 }
 
 /// Parses a JSONL telemetry stream as a write-ahead log for `scenario`.
@@ -623,59 +617,28 @@ pub fn parse_wal(text: &str, scenario: &str) -> WalReplay {
             wal.torn_lines += 1;
             continue;
         };
-        let ty = match map.get("type") {
-            Some(Value::String(t)) => t.clone(),
-            _ => {
-                wal.torn_lines += 1;
-                continue;
-            }
+        let Some(ty) = str_field(&map, "type") else {
+            wal.torn_lines += 1;
+            continue;
         };
         // Streams can hold several scenarios (scenario_smoke appends
         // all of them to one file); replay only this scenario's lines.
-        match map.get("scenario") {
-            Some(Value::String(s)) if s != scenario => continue,
-            _ => {}
+        if str_field(&map, "scenario").is_some_and(|s| s != scenario) {
+            continue;
         }
-        match ty.as_str() {
+        match ty {
             "run_start" => {
                 wal.runs_started += 1;
                 wal.run_start = Some(Value::Object(map));
             }
             "exec_done" => {
-                let Some(Value::String(pass)) = map.get("pass") else {
-                    continue;
-                };
-                let Ok(pass) = pass.parse::<Pass>() else {
-                    continue;
-                };
-                if !matches!(map.get("outcome"), Some(Value::String(o)) if o == "ok") {
-                    continue;
+                // Only `ok` executions are replayable: failures re-run
+                // to regenerate their counterexample payloads.
+                if let Some(rec) = parse_exec_done(&map) {
+                    if rec.outcome == OutcomeKind::Ok {
+                        wal.completed.insert(rec.key, rec.stats);
+                    }
                 }
-                let (Some(index), Some(steps), Some(trace_fp)) = (
-                    field_u64(&map, "index"),
-                    field_u64(&map, "steps"),
-                    field_hex(&map, "trace_fp"),
-                ) else {
-                    continue;
-                };
-                wal.completed.insert(
-                    (pass.rank(), index),
-                    WalExec {
-                        steps,
-                        crashes: field_u64(&map, "crashes").unwrap_or(0),
-                        helped: field_u64(&map, "helped").unwrap_or(0),
-                        depth: field_u64(&map, "depth").unwrap_or(0),
-                        disk_ops: field_u64(&map, "disk_ops").unwrap_or(0),
-                        net_msgs: field_u64(&map, "net_msgs").unwrap_or(0),
-                        disk_reads: field_u64(&map, "disk_reads").unwrap_or(0),
-                        disk_writes: field_u64(&map, "disk_writes").unwrap_or(0),
-                        disk_flushes: field_u64(&map, "disk_flushes").unwrap_or(0),
-                        net_sends: field_u64(&map, "net_sends").unwrap_or(0),
-                        net_recvs: field_u64(&map, "net_recvs").unwrap_or(0),
-                        lock_blocks: field_u64(&map, "lock_blocks").unwrap_or(0),
-                        trace_fp,
-                    },
-                );
             }
             _ => {}
         }
@@ -770,12 +733,8 @@ mod tests {
         assert!(validate_json_line("{\"no_type\": 1}").is_err());
     }
 
-    fn exec_event(seed: u64, outcome: OutcomeKind) -> Value {
-        ev_exec_done(&ExecEvent {
-            pass: Pass::Dfs,
-            index: 0,
-            seed,
-            outcome,
+    fn stats() -> ExecStats {
+        ExecStats {
             steps: 7,
             depth: 3,
             crashes: 1,
@@ -789,9 +748,17 @@ mod tests {
             net_sends: 14,
             net_recvs: 15,
             trace_fp: 0xdead_beef,
-            faults: "-",
-            duration: Duration::ZERO,
-        })
+        }
+    }
+
+    fn exec_event(seed: u64, outcome: OutcomeKind) -> Value {
+        let rec = ExecRecord {
+            seed,
+            outcome,
+            stats: stats(),
+            ..ExecRecord::default()
+        };
+        ev_exec_done(&rec, "-")
     }
 
     #[test]
@@ -899,25 +866,7 @@ mod tests {
         text.push('\n');
         let wal = parse_wal(&text, "s");
         assert_eq!(wal.completed.len(), 1, "violations must not be replayed");
-        let w = &wal.completed[&(Pass::Dfs.rank(), 0)];
-        assert_eq!(
-            *w,
-            WalExec {
-                steps: 7,
-                crashes: 1,
-                helped: 2,
-                depth: 3,
-                disk_ops: 4,
-                net_msgs: 5,
-                disk_reads: 11,
-                disk_writes: 12,
-                disk_flushes: 13,
-                net_sends: 14,
-                net_recvs: 15,
-                lock_blocks: 6,
-                trace_fp: 0xdead_beef,
-            }
-        );
+        assert_eq!(wal.completed[&(Pass::Dfs.rank(), 0)], stats());
         assert_eq!(wal.torn_lines, 0);
     }
 
@@ -937,27 +886,15 @@ mod tests {
         let wal = parse_wal(GOLDEN_EXEC_DONE, "transactional WAL");
         let w = wal.completed[&(Pass::TornWrite.rank(), 38)];
         assert_eq!((w.steps, w.helped, w.disk_writes), (51, 1, 19));
-        let mut ev = ev_exec_done(&ExecEvent {
-            pass: Pass::TornWrite,
-            index: 38,
-            seed: 0x6f79_2d07_2542_747b,
-            outcome: OutcomeKind::Ok,
-            steps: w.steps,
-            depth: w.depth,
-            crashes: w.crashes,
-            helped: w.helped,
-            lock_blocks: w.lock_blocks,
-            disk_ops: w.disk_ops,
-            net_msgs: w.net_msgs,
-            disk_reads: w.disk_reads,
-            disk_writes: w.disk_writes,
-            disk_flushes: w.disk_flushes,
-            net_sends: w.net_sends,
-            net_recvs: w.net_recvs,
-            trace_fp: w.trace_fp,
-            faults: "torn-sub0",
-            duration: Duration::from_micros(829),
-        });
+        let Ok(Value::Object(m)) = serde_json::from_str(GOLDEN_EXEC_DONE) else {
+            panic!("golden line is not an object");
+        };
+        let rec = parse_exec_done(&m).expect("golden line parses");
+        assert_eq!(
+            (rec.key, rec.seed, rec.stats),
+            ((8, 38), 0x6f79_2d07_2542_747b, w)
+        );
+        let mut ev = ev_exec_done(&rec, "torn-sub0");
         if let Value::Object(m) = &mut ev {
             m.insert("scenario".into(), Value::String("transactional WAL".into()));
         }
@@ -970,6 +907,8 @@ mod tests {
     fn golden_run_end_line_renders_byte_for_byte() {
         let mut r = CheckReport {
             name: "node KV store".into(),
+            strategy: "sleep-set-dpor".into(),
+            execs_per_sec: 1939.60649520027,
             executions: 1028,
             total_steps: 28043,
             crashes_injected: 1345,
@@ -978,11 +917,9 @@ mod tests {
             disk_reads: 8198,
             disk_writes: 3520,
             disk_flushes: 3340,
-            strategy: "sleep-set-dpor".into(),
             pruned: 39,
             workers: 2,
             wall_time: Duration::from_nanos(530_004_412),
-            execs_per_sec: 1939.60649520027,
             ..CheckReport::default()
         };
         r.outcomes.ok = 1028;
@@ -997,6 +934,14 @@ mod tests {
             serde_json::to_string(&ev_run_end(&r)).unwrap(),
             GOLDEN_RUN_END
         );
+        // Read back, the record is that run's fold of totals.
+        let Ok(Value::Object(m)) = serde_json::from_str(GOLDEN_RUN_END) else {
+            panic!("golden line is not an object");
+        };
+        let f = parse_run_end(&m);
+        assert_eq!((f.executions, f.total_steps, f.pruned), (1028, 28043, 39));
+        assert_eq!(f.outcomes, r.outcomes);
+        assert_eq!(f.coverage.fault_plans_exercised(), 76);
     }
 
     #[test]

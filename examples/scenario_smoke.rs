@@ -21,14 +21,20 @@
 //! telemetry stream (pass the same file to `--telemetry` to also
 //! extend it, making the run resumable in turn).
 
-use perennial_bench::args::{apply_strategy, flag, parse_args, value};
+use perennial_bench::args::{apply_strategy, flag, value, Cli};
 use perennial_checker::{
     chrome_trace_json, parse_shard, render_summary, verdict_line, CheckConfig, Pass, TelemetrySink,
 };
 use perennial_suite::all_scenarios;
 
-fn main() {
-    let spec = [
+const CLI: Cli = Cli {
+    name: "scenario_smoke",
+    usage: "\
+usage: scenario_smoke [NAME-FRAGMENT] [--faults] [--summary] [--telemetry PATH]
+                      [--strategy exhaustive|dpor|coverage] [--shard I/N]
+                      [--resume PATH] [--trace-out DIR]
+",
+    spec: &[
         flag("--faults"),
         flag("--summary"),
         value("--telemetry"),
@@ -36,19 +42,26 @@ fn main() {
         value("--shard"),
         value("--resume"),
         value("--trace-out"),
-    ];
-    let args = parse_args(std::env::args().skip(1), &spec).unwrap_or_else(|e| panic!("{e}"));
+    ],
+};
+
+fn main() {
+    let args = CLI.parse();
+    if let [_, stray, ..] = args.positionals() {
+        CLI.usage_error(format!("unexpected argument {stray:?}"));
+    }
     let filter = args.positionals().first().cloned().unwrap_or_default();
     let faults = args.flag("--faults");
     let summary = args.flag("--summary");
     let telemetry_path = args.value("--telemetry");
     let shard = args
         .value("--shard")
-        .map(|s| parse_shard(s).unwrap_or_else(|e| panic!("{e}")));
+        .map(|s| parse_shard(s).unwrap_or_else(|e| CLI.usage_error(e)));
     let resume = args.value("--resume");
     let trace_out = args.value("--trace-out").map(|d| {
         let dir = std::path::PathBuf::from(d);
-        std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("cannot create {dir:?}: {e}"));
+        std::fs::create_dir_all(&dir)
+            .unwrap_or_else(|e| CLI.fail(format!("creating {dir:?}: {e}")));
         dir
     });
 
@@ -63,7 +76,7 @@ fn main() {
         builder = builder.resume_from(path);
     }
     builder = apply_strategy(builder, args.value("--strategy").unwrap_or("exhaustive"))
-        .unwrap_or_else(|e| panic!("{e}"));
+        .unwrap_or_else(|e| CLI.usage_error(e));
     if faults {
         builder = builder.with_passes([Pass::DiskFault, Pass::TornWrite, Pass::NetFault]);
     }
@@ -77,7 +90,7 @@ fn main() {
         } else {
             TelemetrySink::to_file(path)
         }
-        .unwrap_or_else(|e| panic!("cannot open telemetry file {path}: {e}"));
+        .unwrap_or_else(|e| CLI.fail(format!("opening telemetry file {path}: {e}")));
         builder = builder.telemetry(sink);
     }
     let cfg = builder.build();
@@ -118,7 +131,7 @@ fn main() {
                 let path = dir.join(format!("{}.trace.json", scenario.name().replace('/', "__")));
                 let json = chrome_trace_json(timeline, scenario.name());
                 std::fs::write(&path, serde_json::to_string_pretty(&json).unwrap())
-                    .unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
+                    .unwrap_or_else(|e| CLI.fail(format!("writing {path:?}: {e}")));
                 println!("  (chrome trace written to {})", path.display());
             }
         }

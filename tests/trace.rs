@@ -7,7 +7,8 @@
 
 use perennial_checker::{
     chrome_trace_json, merge_reports, render_explain, render_failure, report_fingerprint,
-    CheckConfig, CheckConfigBuilder, Counterexample, Dashboard, FaultPlan, Pass, TelemetrySink,
+    CheckConfig, CheckConfigBuilder, Counterexample, Dashboard, FaultPlan, Pass, PassMetrics,
+    TelemetrySink,
 };
 use perennial_suite::{all_mutant_scenarios, all_scenarios};
 use serde_json::Value;
@@ -159,7 +160,9 @@ fn chrome_trace_export_of_a_real_counterexample_is_well_formed() {
 
 /// The dashboard's merged totals agree with `merge_reports` over the
 /// same sharded campaign: fold each shard's telemetry stream into a
-/// `Dashboard` and the per-scenario sums match the merged report.
+/// `Dashboard` and every total the dashboard prints matches the merged
+/// report (both merge shard folds with `OutcomeFold::merge`), while its
+/// per-pass cost rows match an unsharded run's profile.
 #[test]
 fn dashboard_totals_match_merge_reports_over_shards() {
     let registry = all_scenarios();
@@ -177,20 +180,51 @@ fn dashboard_totals_match_merge_reports_over_shards() {
     assert_eq!(dash.scenarios.len(), 1, "one scenario across both streams");
     let s = dash.scenarios.values().next().unwrap();
     assert_eq!(s.shards.len(), 2, "both shards ingested");
-    assert_eq!(s.executions(), merged.executions as u64);
-    assert_eq!(s.total_steps(), merged.total_steps);
-    assert_eq!(s.crashes_injected(), merged.crashes_injected as u64);
-    assert_eq!(s.counterexamples(), merged.counterexamples.len() as u64);
-    assert_eq!(
-        s.crash_points_enumerable(),
-        merged.coverage.crash_points_enumerable
-    );
+    let m = s.merged();
+    assert_eq!(m.executions, merged.executions);
+    assert_eq!(m.total_steps, merged.total_steps);
+    assert_eq!(m.crashes_injected, merged.crashes_injected);
+    assert_eq!(m.outcomes, merged.outcomes);
+    assert_eq!(m.outcomes.failures(), merged.counterexamples.len() as u64);
+    let (got, want) = (&m.coverage, &merged.coverage);
+    assert_eq!(got.crash_points_enumerable, want.crash_points_enumerable);
+    assert_eq!(got.fault_plans_exercised(), want.fault_plans_exercised());
+    assert_eq!(got.fault_plans_enumerable(), want.fault_plans_enumerable());
+    assert!(want.fault_plans_exercised() > 0, "fault sweeps were on");
+    // `run_end` carries no crash-point sets, so the dashboard's distinct
+    // crash-point count is a documented lower bound.
+    assert!(got.crash_points_exercised > 0);
+    assert!(got.crash_points_exercised <= want.crash_points_exercised);
+    assert_eq!(m.pruned, merged.pruned);
+    assert_eq!(m.replayed, merged.replayed);
+    let totals = dash.totals();
+    assert_eq!(totals.executions, merged.executions);
+    assert_eq!(totals.total_steps, merged.total_steps);
     assert!(s.passed());
     // The pass_start/pass_end timing records fed the wall profile.
     assert!(
         !s.pass_wall_us.is_empty(),
         "no pass_end records in the stream"
     );
+
+    // The cost rows, deduplicated from both shards' exec_done records,
+    // are the profile an unsharded run reports (busy time aside).
+    let whole = scenario.run(&base_cfg().keep_going(true).profile(true).build());
+    let profile = whole.profile.expect("profiling was on");
+    let costs = |rows: &[PassMetrics]| -> Vec<_> {
+        rows.iter()
+            .map(|r| {
+                let counts = [r.executions, r.steps, r.crashes, r.failures];
+                (
+                    r.pass,
+                    counts,
+                    [r.lock_blocks, r.disk_ops, r.net_msgs, r.model_ops],
+                )
+            })
+            .collect()
+    };
+    assert_eq!(costs(&dash.cost_profile()), costs(&profile.passes));
+
     let rendered = perennial_checker::render_dashboard(&dash);
     assert!(rendered.contains("CAMPAIGN DASHBOARD"), "{rendered}");
     assert!(
