@@ -7,7 +7,7 @@
 //!      [--workers N] [--budget N] [--seed N]
 //!      [--trace-out DIR] [--explain] [--profile FILE]
 //!      [--shrink] [--emit-test DIR]
-//! scan --merge FILE... [--out FILE]
+//! scan [--out FILE] --merge FILE...
 //! scan --dashboard PATH...
 //! ```
 //!
@@ -15,6 +15,8 @@
 //! this process the I-th deterministic slice of every scenario's job
 //! space; shard report files (`--out`) from all N slices recombine with
 //! `--merge` into exactly the unsharded campaign — same fingerprint.
+//! `--merge` takes every argument after it as a shard file, so `--out`
+//! goes before it.
 //! `--wal DIR` writes one JSONL write-ahead log per scenario; with
 //! `--resume`, completed executions found in those logs are replayed
 //! instead of re-run, so a SIGKILLed campaign picks up where it died
@@ -59,9 +61,10 @@
 use perennial_bench::args::{apply_strategy, flag, rest, value, ArgSpec, Cli};
 use perennial_checker::{
     chrome_trace_json, emit_test, merge_reports, parse_shard, profile_to_json, render_dashboard,
-    render_explain, render_profile, report_fingerprint, report_from_json, report_to_json,
-    test_file_name, trace_fingerprint, CheckConfig, CheckReport, Dashboard, Pass, ScenarioSet,
+    render_explain, render_profile, report_fingerprint, test_file_name, trace_fingerprint,
+    CheckConfig, CheckReport, Dashboard, Pass, ScenarioSet,
 };
+use serde_json::FromJson;
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "\
@@ -70,7 +73,7 @@ usage: scan [--filter SUBSTR] [--shard I/N] [--wal DIR] [--resume]
             [--workers N] [--budget N] [--seed N]
             [--trace-out DIR] [--explain] [--profile FILE]
             [--shrink] [--emit-test DIR]
-       scan --merge FILE... [--out FILE]
+       scan [--out FILE] --merge FILE...
        scan --dashboard PATH...
 ";
 
@@ -130,23 +133,12 @@ fn campaign_fingerprint(reports: &[CheckReport]) -> u64 {
 }
 
 fn write_out(path: &str, shard: Option<(u32, u32)>, reports: &[CheckReport]) {
-    let mut root = serde_json::Map::new();
-    root.insert(
-        "shard".into(),
-        match shard {
-            Some((i, n)) => serde_json::Value::String(format!("{i}/{n}")),
-            None => serde_json::Value::Null,
-        },
-    );
-    root.insert(
-        "campaign_fingerprint".into(),
-        serde_json::Value::String(format!("{:#018x}", campaign_fingerprint(reports))),
-    );
-    root.insert(
-        "scenarios".into(),
-        serde_json::Value::Array(reports.iter().map(report_to_json).collect()),
-    );
-    let text = serde_json::to_string_pretty(&serde_json::Value::Object(root)).unwrap();
+    let root = serde_json::json!({
+        "shard": shard.map(|(i, n)| format!("{i}/{n}")),
+        "campaign_fingerprint": format!("{:#018x}", campaign_fingerprint(reports)),
+        "scenarios": reports,
+    });
+    let text = serde_json::to_string_pretty(&root).unwrap();
     std::fs::write(path, text).unwrap_or_else(|e| CLI.fail(format!("writing {path}: {e}")));
     println!("(campaign report written to {path})");
 }
@@ -159,15 +151,8 @@ fn read_out(path: &str) -> Vec<CheckReport> {
     let serde_json::Value::Object(map) = v else {
         CLI.fail(format!("{path}: not a campaign report object"));
     };
-    let Some(serde_json::Value::Array(items)) = map.get("scenarios") else {
-        CLI.fail(format!("{path}: no \"scenarios\" array"));
-    };
-    items
-        .iter()
-        .map(|item| {
-            report_from_json(item).unwrap_or_else(|e| CLI.fail(format!("{path}: bad report: {e}")))
-        })
-        .collect()
+    map.field("scenarios", Vec::<CheckReport>::from_json, None)
+        .unwrap_or_else(|e| CLI.fail(format!("{path}: bad report: {e}")))
 }
 
 /// Merge mode: one campaign report file per shard in, the recombined

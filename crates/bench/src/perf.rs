@@ -19,7 +19,7 @@
 //! warnings, never silently ignored.
 
 use perennial_checker::EnvStamp;
-use serde_json::{Map, Value};
+use serde_json::{FromJson, Map, Value};
 use std::fmt::Write as _;
 
 /// Version of the `BENCH_scale.json` record layout. Bump when the
@@ -292,8 +292,8 @@ pub fn diff_scale(baseline: &Value, current: &Value, t: &Thresholds) -> Result<D
         ));
     }
     match (
-        b.get("env").and_then(EnvStamp::from_json),
-        c.get("env").and_then(EnvStamp::from_json),
+        b.get("env").and_then(|v| EnvStamp::from_json(v).ok()),
+        c.get("env").and_then(|v| EnvStamp::from_json(v).ok()),
     ) {
         (Some(be), Some(ce)) => {
             if be.rustc != ce.rustc {

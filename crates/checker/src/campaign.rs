@@ -7,7 +7,8 @@
 //! - [`parse_shard`] — the `i/n` command-line shard syntax shared by
 //!   the drivers (`scan`, `scale`, `scenario_smoke`).
 //! - [`report_to_json`] / [`report_from_json`] — a lossless-enough
-//!   [`CheckReport`] serialization for cross-process merging. One thing
+//!   [`CheckReport`] serialization for cross-process merging, the
+//!   campaign fingerprint, and the `run_end` telemetry record. One thing
 //!   does not survive: a counterexample's [`ExecOutcome`] payload comes
 //!   back as [`GhostError::Imported`] carrying the rendered message, so
 //!   fingerprints (which hash the rendering) round-trip exactly.
@@ -22,16 +23,34 @@
 //! robustness contract — pinned by `tests/shard_resume.rs` and the CI
 //! `campaign` job — is that sharded-then-merged and killed-then-resumed
 //! runs produce the same fingerprint as one uninterrupted run.
+//!
+//! # One field list per record
+//!
+//! Every checker record that is written *and* read back (the report,
+//! [`Counterexample`], [`FaultPlan`], [`ExecOutcome`], and the
+//! [`Histogram`](crate::Histogram), [`PassMetrics`](crate::PassMetrics),
+//! [`Coverage`](crate::Coverage), [`OutcomeCounts`](crate::OutcomeCounts),
+//! [`EnvStamp`](crate::EnvStamp) and [`ExecStats`](crate::ExecStats) it
+//! nests) is declared once, beside its type, with the `serde_json`
+//! shim's `record!` macro: one field list from which both `ToJson` and
+//! `FromJson` are implemented (see the shim's docs for the contract). Decoding is strict: a missing or mistyped field, or an
+//! integer that is fractional or out of range, is an error that names
+//! the field. The one exception is `exec_done`'s
+//! [`ExecStats`](crate::ExecStats), whose counters default to 0 so WALs
+//! from earlier builds stay resumable. Fields whose JSON form is not their type's use
+//! the adapters here: `hex64` for 64-bit seeds and fingerprints,
+//! seconds for the wall time, [`parse_shard`] syntax for the shard, and
+//! names for torn modes and net faults. Write-only records (`run_start`,
+//! the profile, bench rows) stay `json!` literals.
 
 use crate::explore::{CheckReport, Counterexample, ExecOutcome};
 use crate::fold::OutcomeFold;
-use crate::metrics::{trace_fingerprint, Histogram, OutcomeCounts, OutcomeKind, PassMetrics};
-use crate::pass::Pass;
-use crate::telemetry::{arr_field, f64_field, hex64, hex_field, obj_field, str_field, u64_field};
+use crate::metrics::{trace_fingerprint, OutcomeKind};
+use crate::telemetry::strip_keys;
 use goose_rt::fault::{FaultPlan, NetFault, TornMode};
 use perennial::GhostError;
-use serde_json::{json, Map, Value};
-use std::collections::BTreeSet;
+use serde_json::{json, record, Error, FromJson, ToJson, Value};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 /// Parses the `i/n` shard syntax: `0/4` is the first of four shards.
@@ -47,372 +66,207 @@ pub fn parse_shard(s: &str) -> Result<(u32, u32), String> {
     Ok((i, n))
 }
 
-fn faults_to_json(f: &FaultPlan) -> Value {
-    let torn = f.torn.map(|t| match t {
-        TornMode::KeepAll => "keep-all".to_string(),
-        TornMode::KeepNone => "keep-none".to_string(),
-        TornMode::Subset(k) => format!("subset:{k}"),
-    });
-    json!({
-        "transient_io": f.transient_io.iter().copied().collect::<Vec<u64>>(),
-        "torn": torn,
-        "disk_fail": f.disk_fail.map(|(d, g)| vec![d as u64, g]),
-        "net": f
-            .net
-            .iter()
-            .map(|(i, nf)| {
-                let name = match nf {
-                    NetFault::Drop => "drop",
-                    NetFault::Duplicate => "duplicate",
-                    NetFault::Delay => "delay",
-                };
-                json!([i, name])
-            })
-            .collect::<Vec<Value>>(),
-    })
-}
+/// `u64` values (seeds, fingerprints) as hex strings: the shim's numbers
+/// are f64 and would silently round above 2^53. Always zero-padded to 16
+/// hex digits (18 chars with the `0x` prefix), so hex fields are
+/// fixed-width, lexicographically ordered, and trivially greppable
+/// across a campaign's worth of streams.
+pub(crate) mod hex64 {
+    use super::*;
 
-fn outcome_to_json(o: &ExecOutcome) -> Value {
-    let msg = match o {
-        ExecOutcome::Ok | ExecOutcome::Deadlock => String::new(),
-        ExecOutcome::Violation(e) => e.to_string(),
-        ExecOutcome::Ub(m)
-        | ExecOutcome::Bug(m)
-        | ExecOutcome::FinalCheckFailed(m)
-        | ExecOutcome::HarnessPanic(m) => m.clone(),
-        ExecOutcome::Wedged(b) => b.to_string(),
-    };
-    json!({ "kind": OutcomeKind::of(o).name(), "msg": msg })
-}
-
-fn cx_to_json(cx: &Counterexample) -> Value {
-    json!({
-        "outcome": outcome_to_json(&cx.outcome),
-        "pass": cx.pass.name(),
-        "index": cx.index,
-        "seed": hex64(cx.seed),
-        "schedule_prefix": cx.schedule_prefix.iter().map(|v| *v as u64).collect::<Vec<u64>>(),
-        "crash_points": cx.crash_points.clone(),
-        "clamped": cx.clamped.iter().map(|v| *v as u64).collect::<Vec<u64>>(),
-        "faults": faults_to_json(&cx.faults),
-        "trace": cx.trace.clone(),
-        // `cx.timeline` is deliberately NOT serialized: it is a debug
-        // payload (re-derivable by replaying the counterexample) and
-        // keeping it out of campaign JSON keeps report fingerprints
-        // identical whether trace capture was on or off.
-    })
-}
-
-fn hist_to_json(h: &Histogram) -> Value {
-    json!({
-        "buckets": h.raw_buckets().to_vec(),
-        "count": h.count(),
-        "sum": h.sum(),
-        "max": h.max(),
-    })
-}
-
-/// Serializes a [`CheckReport`] for cross-process merging and the
-/// campaign fingerprint. The inverse is [`report_from_json`].
-pub fn report_to_json(r: &CheckReport) -> Value {
-    json!({
-        "name": r.name.clone(),
-        "executions": r.executions as u64,
-        "total_steps": r.total_steps,
-        "crashes_injected": r.crashes_injected as u64,
-        "crash_points": r.crash_points as u64,
-        "fault_plans": r.fault_plans as u64,
-        "helped_ops": r.helped_ops,
-        "disk_reads": r.disk_reads,
-        "disk_writes": r.disk_writes,
-        "disk_flushes": r.disk_flushes,
-        "net_sends": r.net_sends,
-        "net_recvs": r.net_recvs,
-        "strategy": r.strategy.clone(),
-        "pruned": r.pruned,
-        "coverage_guided": r.coverage_guided,
-        "outcomes": r.outcomes.to_json(),
-        "counterexamples": r.counterexamples.iter().map(cx_to_json).collect::<Vec<Value>>(),
-        "per_pass": r
-            .per_pass
-            .iter()
-            .map(|pm| {
-                json!({
-                    "pass": pm.pass.name(),
-                    "executions": pm.executions,
-                    "steps": pm.steps,
-                    "crashes": pm.crashes,
-                    "fault_plans": pm.fault_plans,
-                    "failures": pm.failures,
-                    "pruned": pm.pruned,
-                    "coverage_guided": pm.coverage_guided,
-                    "busy_time_us": pm.busy_us,
-                })
-            })
-            .collect::<Vec<Value>>(),
-        "steps_hist": hist_to_json(&r.steps_hist),
-        "depth_hist": hist_to_json(&r.depth_hist),
-        "coverage": {
-            "crash_points_enumerable": r.coverage.crash_points_enumerable,
-            "disk_fault_plans_exercised": r.coverage.disk_fault_plans_exercised,
-            "disk_fault_plans_enumerable": r.coverage.disk_fault_plans_enumerable,
-            "torn_plans_exercised": r.coverage.torn_plans_exercised,
-            "torn_plans_enumerable": r.coverage.torn_plans_enumerable,
-            "net_plans_exercised": r.coverage.net_plans_exercised,
-            "net_plans_enumerable": r.coverage.net_plans_enumerable,
-        },
-        "crash_point_set": r.crash_point_set.iter().copied().collect::<Vec<u64>>(),
-        "trace_fps": r.trace_fps.iter().map(|fp| hex64(*fp)).collect::<Vec<String>>(),
-        "shard": r.shard.map(|(i, n)| format!("{i}/{n}")),
-        "replayed": r.replayed,
-        "incomplete": r.incomplete.clone(),
-        "workers": r.workers as u64,
-        // The environment stamp is volatile (it names the machine's
-        // toolchain and pool size), but serialized so baselines and
-        // archived campaign reports say where they came from.
-        // `r.profile` is deliberately NOT serialized, like
-        // `cx.timeline`: both are debug/observability side channels,
-        // and excluding them keeps report fingerprints identical
-        // whether profiling (or trace capture) was on or off.
-        "env": r.env.to_json(),
-        "wall_time_s": r.wall_time.as_secs_f64(),
-        "execs_per_sec": r.execs_per_sec,
-    })
-}
-
-/// A required field: `get` (one of the shared `telemetry` getters)
-/// applied to `m[key]`, or an error naming the field.
-fn need<'a, T>(m: &'a Map, key: &str, get: fn(&'a Map, &str) -> Option<T>) -> Result<T, String> {
-    get(m, key).ok_or_else(|| format!("field {key:?}: missing or mistyped"))
-}
-
-fn get_u64(m: &Map, k: &str) -> Result<u64, String> {
-    need(m, k, u64_field)
-}
-
-fn get_str(m: &Map, k: &str) -> Result<String, String> {
-    need(m, k, str_field).map(str::to_string)
-}
-
-fn get_arr<'a>(m: &'a Map, k: &str) -> Result<&'a [Value], String> {
-    need(m, k, arr_field)
-}
-
-fn get_obj<'a>(m: &'a Map, k: &str) -> Result<&'a Map, String> {
-    need(m, k, obj_field)
-}
-
-fn get<'a>(m: &'a Map, k: &str) -> Result<&'a Value, String> {
-    m.get(k).ok_or_else(|| format!("missing field {k:?}"))
-}
-
-fn num_array(items: &[Value], what: &str) -> Result<Vec<u64>, String> {
-    items
-        .iter()
-        .map(|v| match v {
-            Value::Number(n) if *n >= 0.0 => Ok(*n as u64),
-            other => Err(format!("{what}: expected number, got {other:?}")),
-        })
-        .collect()
-}
-
-fn outcome_from_json(m: &Map) -> Result<ExecOutcome, String> {
-    let kind = get_str(m, "kind")?;
-    let msg = get_str(m, "msg")?;
-    Ok(match kind.as_str() {
-        "ok" => ExecOutcome::Ok,
-        "violation" => ExecOutcome::Violation(GhostError::Imported { msg }),
-        "ub" => ExecOutcome::Ub(msg),
-        "bug" => ExecOutcome::Bug(msg),
-        "deadlock" => ExecOutcome::Deadlock,
-        "final_check_failed" => ExecOutcome::FinalCheckFailed(msg),
-        "wedged" => ExecOutcome::Wedged(
-            msg.parse()
-                .map_err(|e| format!("wedged budget {msg:?}: {e}"))?,
-        ),
-        "harness_panic" => ExecOutcome::HarnessPanic(msg),
-        other => return Err(format!("unknown outcome kind {other:?}")),
-    })
-}
-
-#[allow(clippy::field_reassign_with_default)] // each field's parse can fail; a struct literal can't `?` per field readably
-fn faults_from_json(m: &Map) -> Result<FaultPlan, String> {
-    let mut f = FaultPlan::default();
-    f.transient_io = num_array(get_arr(m, "transient_io")?, "transient_io")?
-        .into_iter()
-        .collect();
-    f.torn = match get(m, "torn")? {
-        Value::Null => None,
-        Value::String(s) => Some(match s.as_str() {
-            "keep-all" => TornMode::KeepAll,
-            "keep-none" => TornMode::KeepNone,
-            other => match other.strip_prefix("subset:") {
-                Some(k) => TornMode::Subset(k.parse().map_err(|e| format!("torn {other:?}: {e}"))?),
-                None => return Err(format!("unknown torn mode {other:?}")),
-            },
-        }),
-        v => return Err(format!("torn: expected string or null, got {v:?}")),
-    };
-    f.disk_fail = match get(m, "disk_fail")? {
-        Value::Null => None,
-        Value::Array(pair) => {
-            let pair = num_array(pair, "disk_fail")?;
-            match pair.as_slice() {
-                [d, g] => Some((*d as u8, *g)),
-                _ => return Err("disk_fail: expected [disk, grant]".to_string()),
-            }
-        }
-        v => return Err(format!("disk_fail: expected array or null, got {v:?}")),
-    };
-    for entry in get_arr(m, "net")? {
-        let Value::Array(pair) = entry else {
-            return Err(format!("net: expected [index, fault], got {entry:?}"));
-        };
-        let (Some(Value::Number(i)), Some(Value::String(name))) = (pair.first(), pair.get(1))
-        else {
-            return Err(format!("net: expected [index, fault], got {entry:?}"));
-        };
-        let nf = match name.as_str() {
-            "drop" => NetFault::Drop,
-            "duplicate" => NetFault::Duplicate,
-            "delay" => NetFault::Delay,
-            other => return Err(format!("unknown net fault {other:?}")),
-        };
-        f.net.insert(*i as u64, nf);
+    pub fn to_json(v: &u64) -> Value {
+        Value::String(format!("{v:#018x}"))
     }
-    Ok(f)
-}
 
-fn cx_from_json(v: &Value) -> Result<Counterexample, String> {
-    let Value::Object(m) = v else {
-        return Err(format!("counterexample: expected object, got {v:?}"));
-    };
-    Ok(Counterexample {
-        outcome: outcome_from_json(get_obj(m, "outcome")?)?,
-        pass: get_str(m, "pass")?
-            .parse::<Pass>()
-            .map_err(|e| e.to_string())?,
-        index: get_u64(m, "index")?,
-        seed: need(m, "seed", hex_field)?,
-        schedule_prefix: num_array(get_arr(m, "schedule_prefix")?, "schedule_prefix")?
-            .into_iter()
-            .map(|v| v as usize)
-            .collect(),
-        crash_points: num_array(get_arr(m, "crash_points")?, "crash_points")?,
-        clamped: num_array(get_arr(m, "clamped")?, "clamped")?
-            .into_iter()
-            .map(|v| v as usize)
-            .collect(),
-        faults: faults_from_json(get_obj(m, "faults")?)?,
-        trace: get_str(m, "trace")?,
-        timeline: None,
-    })
-}
-
-fn hist_from_json(m: &Map) -> Result<Histogram, String> {
-    Ok(Histogram::from_parts(
-        num_array(get_arr(m, "buckets")?, "buckets")?,
-        get_u64(m, "count")?,
-        get_u64(m, "sum")?,
-        get_u64(m, "max")?,
-    ))
-}
-
-/// Deserializes a report written by [`report_to_json`].
-pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
-    let Value::Object(m) = v else {
-        return Err("report: expected a JSON object".to_string());
-    };
-    let mut r = CheckReport {
-        name: get_str(m, "name")?,
-        strategy: get_str(m, "strategy")?,
-        executions: get_u64(m, "executions")? as usize,
-        total_steps: get_u64(m, "total_steps")?,
-        crashes_injected: get_u64(m, "crashes_injected")? as usize,
-        crash_points: get_u64(m, "crash_points")? as usize,
-        fault_plans: get_u64(m, "fault_plans")? as usize,
-        helped_ops: get_u64(m, "helped_ops")?,
-        disk_reads: get_u64(m, "disk_reads")?,
-        disk_writes: get_u64(m, "disk_writes")?,
-        disk_flushes: get_u64(m, "disk_flushes")?,
-        net_sends: get_u64(m, "net_sends")?,
-        net_recvs: get_u64(m, "net_recvs")?,
-        pruned: get_u64(m, "pruned")?,
-        coverage_guided: get_u64(m, "coverage_guided")?,
-        replayed: get_u64(m, "replayed")?,
-        workers: get_u64(m, "workers")? as usize,
-        outcomes: OutcomeCounts::from_json(get_obj(m, "outcomes")?)
-            .ok_or("outcomes: missing a bucket")?,
-        ..CheckReport::default()
-    };
-    for cx in get_arr(m, "counterexamples")? {
-        r.counterexamples.push(cx_from_json(cx)?);
+    pub fn from_json(v: &Value) -> Result<u64, Error> {
+        let s = String::from_json(v)?;
+        u64::from_str_radix(s.trim_start_matches("0x"), 16)
+            .map_err(|e| Error::custom(format!("{s:?}: {e}")))
     }
-    r.counterexample = r.counterexamples.first().cloned();
-    for pm in get_arr(m, "per_pass")? {
-        let Value::Object(p) = pm else {
-            return Err(format!("per_pass: expected object, got {pm:?}"));
-        };
-        let pass = get_str(p, "pass")?
-            .parse::<Pass>()
-            .map_err(|e| e.to_string())?;
-        r.per_pass.push(PassMetrics {
-            pass,
-            rank: pass.rank(),
-            executions: get_u64(p, "executions")?,
-            steps: get_u64(p, "steps")?,
-            crashes: get_u64(p, "crashes")?,
-            fault_plans: get_u64(p, "fault_plans")?,
-            failures: get_u64(p, "failures")?,
-            pruned: get_u64(p, "pruned")?,
-            coverage_guided: get_u64(p, "coverage_guided")?,
-            busy_us: get_u64(p, "busy_time_us")?,
-            ..PassMetrics::default()
+}
+
+/// A set of [`hex64`] values, as an array.
+mod hex64_set {
+    use super::*;
+
+    pub fn to_json(s: &BTreeSet<u64>) -> Value {
+        Value::Array(s.iter().map(hex64::to_json).collect())
+    }
+
+    pub fn from_json(v: &Value) -> Result<BTreeSet<u64>, Error> {
+        Vec::<Value>::from_json(v)?
+            .iter()
+            .map(hex64::from_json)
+            .collect()
+    }
+}
+
+/// A [`Duration`] as fractional seconds.
+mod secs {
+    use super::*;
+
+    pub fn to_json(d: &Duration) -> Value {
+        Value::Number(d.as_secs_f64())
+    }
+
+    pub fn from_json(v: &Value) -> Result<Duration, Error> {
+        Duration::try_from_secs_f64(f64::from_json(v)?).map_err(Error::custom)
+    }
+}
+
+/// A shard assignment in [`parse_shard`] syntax, or `null`.
+pub(crate) mod shard_spec {
+    use super::*;
+
+    pub fn to_json(s: &Option<(u32, u32)>) -> Value {
+        s.map(|(i, n)| format!("{i}/{n}")).to_json()
+    }
+
+    pub fn from_json(v: &Value) -> Result<Option<(u32, u32)>, Error> {
+        let s = Option::<String>::from_json(v)?;
+        s.map(|s| parse_shard(&s).map_err(Error::custom))
+            .transpose()
+    }
+}
+
+/// A crash's [`TornMode`] as `keep-all`, `keep-none` or `subset:K`.
+mod torn_mode {
+    use super::*;
+
+    pub fn to_json(t: &Option<TornMode>) -> Value {
+        let name = t.map(|t| match t {
+            TornMode::KeepAll => "keep-all".to_string(),
+            TornMode::KeepNone => "keep-none".to_string(),
+            TornMode::Subset(k) => format!("subset:{k}"),
         });
+        name.to_json()
     }
-    r.steps_hist = hist_from_json(get_obj(m, "steps_hist")?)?;
-    r.depth_hist = hist_from_json(get_obj(m, "depth_hist")?)?;
-    let cov = get_obj(m, "coverage")?;
-    r.coverage.crash_points_enumerable = get_u64(cov, "crash_points_enumerable")?;
-    r.coverage.disk_fault_plans_exercised = get_u64(cov, "disk_fault_plans_exercised")?;
-    r.coverage.disk_fault_plans_enumerable = get_u64(cov, "disk_fault_plans_enumerable")?;
-    r.coverage.torn_plans_exercised = get_u64(cov, "torn_plans_exercised")?;
-    r.coverage.torn_plans_enumerable = get_u64(cov, "torn_plans_enumerable")?;
-    r.coverage.net_plans_exercised = get_u64(cov, "net_plans_exercised")?;
-    r.coverage.net_plans_enumerable = get_u64(cov, "net_plans_enumerable")?;
-    r.crash_point_set = num_array(get_arr(m, "crash_point_set")?, "crash_point_set")?
-        .into_iter()
-        .collect();
-    for fp in get_arr(m, "trace_fps")? {
-        let fp = match fp {
-            Value::String(s) => u64::from_str_radix(s.trim_start_matches("0x"), 16).ok(),
-            _ => None,
+
+    pub fn from_json(v: &Value) -> Result<Option<TornMode>, Error> {
+        let name = Option::<String>::from_json(v)?;
+        name.map(|name| match name.as_str() {
+            "keep-all" => Ok(TornMode::KeepAll),
+            "keep-none" => Ok(TornMode::KeepNone),
+            other => match other.strip_prefix("subset:").map(str::parse) {
+                Some(Ok(k)) => Ok(TornMode::Subset(k)),
+                _ => Err(Error::custom(format!("unknown torn mode {other:?}"))),
+            },
+        })
+        .transpose()
+    }
+}
+
+/// Per-send network faults as `[index, "drop"|"duplicate"|"delay"]` pairs.
+mod net_faults {
+    use super::*;
+
+    const NAMES: [(NetFault, &str); 3] = [
+        (NetFault::Drop, "drop"),
+        (NetFault::Duplicate, "duplicate"),
+        (NetFault::Delay, "delay"),
+    ];
+
+    pub fn to_json(net: &BTreeMap<u64, NetFault>) -> Value {
+        let name = |f| NAMES.iter().find(|(n, _)| n == f).map(|(_, s)| *s);
+        net.iter()
+            .map(|(i, f)| (*i, name(f)))
+            .collect::<Vec<_>>()
+            .to_json()
+    }
+
+    pub fn from_json(v: &Value) -> Result<BTreeMap<u64, NetFault>, Error> {
+        let pairs = Vec::<(u64, String)>::from_json(v)?;
+        let fault = |name: &str| NAMES.iter().find(|(_, s)| *s == name).map(|(f, _)| *f);
+        pairs
+            .into_iter()
+            .map(|(i, name)| {
+                fault(&name)
+                    .map(|f| (i, f))
+                    .ok_or_else(|| Error::custom(format!("unknown net fault {name:?}")))
+            })
+            .collect()
+    }
+}
+
+record! {
+    mod fault_plan for FaultPlan {
+        transient_io, torn with torn_mode, disk_fail, net with net_faults,
+    }
+}
+
+/// `{kind, msg}`: a violation comes back as [`GhostError::Imported`]
+/// carrying the rendered message, so fingerprints round-trip exactly.
+impl ToJson for ExecOutcome {
+    fn to_json(&self) -> Value {
+        json!({ "kind": OutcomeKind::of(self).name(), "msg": self.message() })
+    }
+}
+
+impl FromJson for ExecOutcome {
+    fn from_json(v: &Value) -> Result<Self, Error> {
+        let Value::Object(m) = v else {
+            return Err(Error::custom("expected an outcome object"));
         };
-        r.trace_fps
-            .insert(fp.ok_or("trace_fps: expected hex strings")?);
+        let msg: String = m.field("msg", FromJson::from_json, None)?;
+        let kind: String = m.field("kind", FromJson::from_json, None)?;
+        Ok(match OutcomeKind::from_name(&kind) {
+            Some(OutcomeKind::Ok) => ExecOutcome::Ok,
+            Some(OutcomeKind::Violation) => ExecOutcome::Violation(GhostError::Imported { msg }),
+            Some(OutcomeKind::Ub) => ExecOutcome::Ub(msg),
+            Some(OutcomeKind::Bug) => ExecOutcome::Bug(msg),
+            Some(OutcomeKind::Deadlock) => ExecOutcome::Deadlock,
+            Some(OutcomeKind::FinalCheckFailed) => ExecOutcome::FinalCheckFailed(msg),
+            Some(OutcomeKind::Wedged) => ExecOutcome::Wedged(msg.parse().map_err(Error::custom)?),
+            Some(OutcomeKind::HarnessPanic) => ExecOutcome::HarnessPanic(msg),
+            None => return Err(Error::custom(format!("unknown outcome kind {kind:?}"))),
+        })
     }
-    r.coverage.crash_points_exercised = r.crash_point_set.len() as u64;
-    r.coverage.distinct_traces = r.trace_fps.len() as u64;
-    r.shard = match get(m, "shard")? {
-        Value::Null => None,
-        Value::String(s) => Some(parse_shard(s)?),
-        v => return Err(format!("shard: expected string or null, got {v:?}")),
-    };
-    for msg in get_arr(m, "incomplete")? {
-        let Value::String(s) = msg else {
-            return Err(format!("incomplete: expected string, got {msg:?}"));
-        };
-        r.incomplete.push(s.clone());
+}
+
+// `timeline` is deliberately not serialized: it is a debug payload
+// (re-derivable by replaying the counterexample), and keeping it out of
+// campaign JSON keeps report fingerprints identical whether trace
+// capture was on or off.
+record! {
+    Counterexample {
+        outcome, pass, index, seed with hex64, schedule_prefix, crash_points, clamped,
+        faults with fault_plan, trace,
     }
-    r.wall_time = Duration::from_secs_f64(need(m, "wall_time_s", f64_field)?.max(0.0));
-    r.execs_per_sec = need(m, "execs_per_sec", f64_field)?;
-    // Lenient: reports serialized before the env stamp existed (or
-    // hand-stripped ones) deserialize with an empty stamp.
-    r.env = m
-        .get("env")
-        .and_then(crate::telemetry::EnvStamp::from_json)
-        .unwrap_or_default();
-    Ok(r)
+}
+
+// `profile` and `shrink` are deliberately not serialized, like a
+// counterexample's timeline: they are observability side channels, and
+// excluding them keeps report fingerprints identical whether profiling
+// or shrinking bookkeeping was on or off. The environment stamp is
+// volatile (it names the machine's toolchain and pool size), but
+// serialized so baselines and archived reports say where they came from.
+// The set-backed coverage counts and the canonical counterexample are
+// rederived on decode.
+record! {
+    CheckReport {
+        name, executions, total_steps, crashes_injected, crash_points, fault_plans, helped_ops,
+        disk_reads, disk_writes, disk_flushes, net_sends, net_recvs, strategy, pruned,
+        coverage_guided, outcomes, counterexamples, per_pass, steps_hist, depth_hist, coverage,
+        crash_point_set, trace_fps with hex64_set, shard with shard_spec, replayed, incomplete,
+        workers, env, wall_time as "wall_time_s" with secs, execs_per_sec,
+    } then |r| {
+        r.counterexample = r.counterexamples.first().cloned();
+        r.coverage.crash_points_exercised = r.crash_point_set.len() as u64;
+        r.coverage.distinct_traces = r.trace_fps.len() as u64;
+    }
+}
+
+/// Serializes a [`CheckReport`] for cross-process merging, the campaign
+/// fingerprint, and the `run_end` telemetry record. The inverse is
+/// [`report_from_json`].
+pub fn report_to_json(r: &CheckReport) -> Value {
+    r.to_json()
+}
+
+/// Deserializes a report written by [`report_to_json`] (or a `run_end`
+/// record); a missing or mistyped field is an error naming it.
+pub fn report_from_json(v: &Value) -> Result<CheckReport, String> {
+    CheckReport::from_json(v).map_err(|e| e.to_string())
 }
 
 /// Keys excluded from [`report_fingerprint`]: wall-clock timing, pool
@@ -429,27 +283,11 @@ pub const VOLATILE_KEYS: [&str; 8] = [
     "env",
 ];
 
-fn strip_volatile(v: &Value) -> Value {
-    match v {
-        Value::Object(map) => {
-            let mut out = Map::new();
-            for (k, val) in map.iter() {
-                if !VOLATILE_KEYS.contains(&k.as_str()) {
-                    out.insert(k.clone(), strip_volatile(val));
-                }
-            }
-            Value::Object(out)
-        }
-        Value::Array(items) => Value::Array(items.iter().map(strip_volatile).collect()),
-        other => other.clone(),
-    }
-}
-
 /// A hash of the report's deterministic content. Two runs of the same
 /// configuration — whatever their worker count, shard split, or
 /// kill/resume history — must agree on this value.
 pub fn report_fingerprint(r: &CheckReport) -> u64 {
-    let canon = strip_volatile(&report_to_json(r));
+    let canon = strip_keys(&report_to_json(r), &VOLATILE_KEYS);
     trace_fingerprint(&serde_json::to_string(&canon).expect("shim serialization is infallible"))
 }
 
@@ -510,6 +348,8 @@ pub fn merge_reports(mut reports: Vec<CheckReport>) -> Result<CheckReport, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::PassMetrics;
+    use crate::pass::Pass;
 
     #[test]
     fn shard_syntax_parses_and_rejects() {
@@ -663,5 +503,29 @@ mod tests {
         assert_eq!(merged.replayed, 4);
         assert!(merged.counterexample.is_some());
         assert_eq!(merged.incomplete.len(), 1, "identical messages dedup");
+    }
+
+    /// The sample report's JSON text with `from` replaced by `to`, decoded.
+    fn decode_doctored(from: &str, to: &str) -> Result<CheckReport, String> {
+        let text = serde_json::to_string(&report_to_json(&sample_report())).unwrap();
+        assert!(text.contains(from), "{from} not in {text}");
+        report_from_json(&serde_json::from_str(&text.replace(from, to)).unwrap())
+    }
+
+    #[test]
+    fn out_of_range_wall_time_is_an_error_naming_the_field() {
+        let err = decode_doctored("\"wall_time_s\": 0", "\"wall_time_s\": 1e300").unwrap_err();
+        assert!(err.contains("wall_time_s"), "{err}");
+    }
+
+    #[test]
+    fn integers_decode_exactly_and_fields_are_required() {
+        let err = decode_doctored("\"executions\": 10,", "\"executions\": 10.7,").unwrap_err();
+        assert!(err.contains("executions"), "{err}");
+        // A disk index past u8 must not wrap around to disk 1.
+        let err = decode_doctored("\"disk_fail\": [2,9]", "\"disk_fail\": [257,9]").unwrap_err();
+        assert!(err.contains("disk_fail"), "{err}");
+        let err = decode_doctored("\"env\":", "\"stamp\":").unwrap_err();
+        assert!(err.contains("env"), "{err}");
     }
 }

@@ -9,25 +9,27 @@
 //! cost profile, the slowest scenarios, and pruning effectiveness — and
 //! renders it as text (`scan --dashboard`).
 //!
-//! Totals come from `run_end` records only, each read back as its
-//! shard's [`OutcomeFold`] and merged with [`OutcomeFold::merge`] — the
-//! rule [`merge_reports`](crate::campaign::merge_reports) applies, so
-//! dashboard totals agree with the merged report. Summing `exec_done`
+//! Totals come from `run_end` records only. Each carries its shard's
+//! full report, read back with [`report_from_json`] and merged with
+//! [`OutcomeFold::merge`], the rule
+//! [`merge_reports`](crate::campaign::merge_reports) applies, so every
+//! dashboard total equals the merged report's. Summing `exec_done`
 //! lines instead would double-count derivation-spine executions, which
 //! run in every shard but are *counted* only by their owner. A resumed
 //! WAL holds several `run_start`/`run_end` pairs for the same shard:
 //! the last `run_end` wins (it covers the whole run, replayed prefix
 //! included), while pass wall times accumulate across resumes
-//! (wall-clock actually spent). `run_end` carries no coverage sets, so
-//! the merged count of distinct crash points exercised is a lower bound
-//! (the most any one shard proved on its own).
+//! (wall-clock actually spent). A `run_end` this build cannot read back
+//! (an older schema, or an out-of-range field) is counted with the torn
+//! lines.
 
+use crate::campaign::report_from_json;
 use crate::explore::CheckReport;
 use crate::fold::OutcomeFold;
 use crate::metrics::PassMetrics;
 use crate::profile::{bar, pct};
-use crate::telemetry::{parse_exec_done, parse_run_end, str_field, u64_field};
-use serde_json::Value;
+use crate::telemetry::parse_exec_done;
+use serde_json::{FromJson, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -35,7 +37,7 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioDash {
     /// The last `run_end` per shard label (`"-"` for unsharded runs),
-    /// read back as a partial report of that shard's totals.
+    /// read back as that shard's report.
     pub shards: BTreeMap<String, CheckReport>,
     /// Summed `pass_end` wall time per `(rank, pass name)`.
     pub pass_wall_us: BTreeMap<(u64, String), u64>,
@@ -70,7 +72,8 @@ pub struct Dashboard {
     pub scenarios: BTreeMap<String, ScenarioDash>,
     /// Streams ingested.
     pub streams: u64,
-    /// Unparseable lines skipped across all streams (torn WAL tails).
+    /// Unparseable lines skipped across all streams (torn WAL tails, and
+    /// `run_end` records that do not decode).
     pub torn_lines: u64,
 }
 
@@ -88,15 +91,18 @@ impl Dashboard {
             if line.trim().is_empty() {
                 continue;
             }
-            let Ok(Value::Object(map)) = serde_json::from_str(line) else {
+            let v = serde_json::from_str(line).unwrap_or(Value::Null);
+            let Value::Object(map) = &v else {
                 self.torn_lines += 1;
                 continue;
             };
-            let Some(ty) = str_field(&map, "type") else {
+            let field = |key| map.get(key).and_then(Value::as_str);
+            let count = |key| map.field(key, u64::from_json, None).unwrap_or(0);
+            let Some(ty) = field("type") else {
                 self.torn_lines += 1;
                 continue;
             };
-            let Some(scenario) = scenario_hint.or_else(|| str_field(&map, "scenario")) else {
+            let Some(scenario) = scenario_hint.or_else(|| field("scenario")) else {
                 continue;
             };
             if !matches!(ty, "run_end" | "pass_end" | "exec_done") {
@@ -105,20 +111,24 @@ impl Dashboard {
             let dash = self.scenarios.entry(scenario.to_string()).or_default();
             match ty {
                 "run_end" => {
-                    let shard = str_field(&map, "shard").unwrap_or("-");
-                    // Last run_end per shard wins (resume appends runs).
-                    dash.shards.insert(shard.to_string(), parse_run_end(&map));
-                }
-                "pass_end" => {
-                    let Some(pass) = str_field(&map, "pass") else {
+                    // A record this build cannot read back counts as torn.
+                    let Ok(run) = report_from_json(&v) else {
+                        self.torn_lines += 1;
                         continue;
                     };
-                    let key = (u64_field(&map, "rank").unwrap_or(0), pass.to_string());
-                    *dash.pass_wall_us.entry(key).or_insert(0) +=
-                        u64_field(&map, "duration_us").unwrap_or(0);
+                    let shard = run.shard.map_or("-".into(), |(i, n)| format!("{i}/{n}"));
+                    // Last run_end per shard wins (resume appends runs).
+                    dash.shards.insert(shard, run);
+                }
+                "pass_end" => {
+                    let Some(pass) = field("pass") else {
+                        continue;
+                    };
+                    let key = (count("rank"), pass.to_string());
+                    *dash.pass_wall_us.entry(key).or_insert(0) += count("duration_us");
                 }
                 "exec_done" => {
-                    if let Some(rec) = parse_exec_done(&map) {
+                    if let Some(rec) = parse_exec_done(&v) {
                         if dash.seen.insert(rec.key) {
                             dash.costs.record(rec);
                         }
@@ -299,41 +309,42 @@ pub fn render_dashboard(d: &Dashboard) -> String {
 mod tests {
     use super::*;
 
-    fn run_end_line(scenario: &str, shard: &str, execs: u64, passed: bool) -> String {
-        format!(
-            concat!(
-                "{{\"type\": \"run_end\", \"scenario\": {s:?}, \"shard\": {sh:?}, ",
-                "\"passed\": {p}, \"executions\": {e}, \"total_steps\": {st}, ",
-                "\"counterexamples\": {cx}, \"crashes_injected\": 3, ",
-                "\"outcomes\": {{\"ok\": {ok}, \"violation\": {cx}, \"ub\": 0, ",
-                "\"bug\": 0, \"deadlock\": 0, \"final_check_failed\": 0, ",
-                "\"wedged\": 0, \"harness_panic\": 0}}, ",
-                "\"crash_points_exercised\": 4, \"crash_points_enumerable\": 8, ",
-                "\"pruned\": 7, \"replayed\": 2, \"wall_time_s\": 0.25, ",
-                "\"incomplete\": []}}"
-            ),
-            s = scenario,
-            sh = shard,
-            p = passed,
-            e = execs,
-            st = execs * 10,
-            ok = execs - u64::from(!passed),
-            cx = u64::from(!passed),
-        )
+    /// The `run_end` line of a report for shard `i/2` of `scenario`.
+    fn run_end_line(scenario: &str, i: u32, execs: usize, passed: bool) -> String {
+        let mut r = CheckReport {
+            name: scenario.into(),
+            shard: Some((i, 2)),
+            executions: execs,
+            total_steps: 10 * execs as u64,
+            crashes_injected: 3,
+            pruned: 7,
+            replayed: 2,
+            wall_time: std::time::Duration::from_millis(250),
+            crash_point_set: (u64::from(i)..u64::from(i) + 4).collect(),
+            ..CheckReport::default()
+        };
+        r.outcomes.ok = execs as u64 - u64::from(!passed);
+        r.outcomes.violation = u64::from(!passed);
+        r.coverage.crash_points_enumerable = 8;
+        if !passed {
+            r.counterexamples.push(crate::Counterexample::default());
+        }
+        let r = OutcomeFold::from(r).finish();
+        serde_json::to_string(&crate::telemetry::ev_run_end(&r)).unwrap()
     }
 
     #[test]
     fn shard_totals_sum_and_enumerables_max() {
         let mut d = Dashboard::default();
-        d.ingest(None, &run_end_line("s", "0/2", 100, true));
-        d.ingest(None, &run_end_line("s", "1/2", 50, false));
+        d.ingest(None, &run_end_line("s", 0, 100, true));
+        d.ingest(None, &run_end_line("s", 1, 50, false));
         let s = &d.scenarios["s"];
         let m = s.merged();
         assert_eq!(m.executions, 150);
         assert_eq!(m.total_steps, 1500);
         assert_eq!(m.outcomes.failures(), 1);
         assert_eq!(m.coverage.crash_points_enumerable, 8);
-        assert_eq!(m.coverage.crash_points_exercised, 4, "a lower bound");
+        assert_eq!(m.coverage.crash_points_exercised, 5, "{{0..3}} ∪ {{1..4}}");
         assert_eq!(m.pruned, 7, "spine counters agree across shards: max");
         assert_eq!(m.replayed, 4);
         assert!(!s.passed());
@@ -342,12 +353,28 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_run_end_counts_as_torn() {
+        let mut d = Dashboard::default();
+        let line = run_end_line("s", 0, 10, true);
+        let doctored = line.replace("\"wall_time_s\": 0.25", "\"wall_time_s\": 1e300");
+        assert_ne!(line, doctored);
+        d.ingest(None, &doctored);
+        d.ingest(
+            None,
+            r#"{"type": "run_end", "scenario": "s", "executions": 3}"#,
+        );
+        assert_eq!(d.torn_lines, 2);
+        assert!(d.scenarios["s"].shards.is_empty());
+        assert!(render_dashboard(&d).contains("(2 torn lines skipped)"));
+    }
+
+    #[test]
     fn resumed_wal_keeps_only_the_last_run_end_per_shard() {
         let mut d = Dashboard::default();
         let text = format!(
             "{}\n{}\n",
-            run_end_line("s", "0/2", 10, false),
-            run_end_line("s", "0/2", 100, true),
+            run_end_line("s", 0, 10, false),
+            run_end_line("s", 0, 100, true),
         );
         d.ingest(None, &text);
         assert_eq!(d.scenarios["s"].merged().executions, 100);
@@ -416,7 +443,7 @@ mod tests {
     #[test]
     fn render_mentions_every_scenario_and_the_profile() {
         let mut d = Dashboard::default();
-        d.ingest(None, &run_end_line("alpha", "0/1", 10, true));
+        d.ingest(None, &run_end_line("alpha", 0, 10, true));
         d.ingest(
             None,
             concat!(

@@ -397,9 +397,10 @@ impl CheckConfigBuilder {
 }
 
 /// How one explored execution ended.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub enum ExecOutcome {
     /// Ghost validation and the final check both passed.
+    #[default]
     Ok,
     /// A ghost capability rule or end-of-execution obligation failed —
     /// a refinement violation.
@@ -429,10 +430,24 @@ impl ExecOutcome {
     pub fn is_failure(&self) -> bool {
         !matches!(self, ExecOutcome::Ok)
     }
+
+    /// The payload as text: the rendered violation, the message, or the
+    /// wedged step budget (empty for `Ok` and `Deadlock`).
+    pub fn message(&self) -> String {
+        match self {
+            ExecOutcome::Ok | ExecOutcome::Deadlock => String::new(),
+            ExecOutcome::Violation(e) => e.to_string(),
+            ExecOutcome::Ub(m)
+            | ExecOutcome::Bug(m)
+            | ExecOutcome::FinalCheckFailed(m)
+            | ExecOutcome::HarnessPanic(m) => m.clone(),
+            ExecOutcome::Wedged(budget) => budget.to_string(),
+        }
+    }
 }
 
 /// A failing execution, with enough context to reproduce and debug it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Counterexample {
     /// What failed.
     pub outcome: ExecOutcome,
@@ -1678,18 +1693,12 @@ impl<'a, S: SpecTS, H: Harness<S>> Explorer<'a, S, H> {
 /// independent); everything else — seed, budgets, passes, strategy,
 /// shard — must agree, or replayed statistics would be lies.
 fn wal_matches_config(stored: &Value, name: &str, config: &CheckConfig) -> bool {
-    let mut want = telemetry::ev_run_start(name, config, 0);
-    let mut got = stored.clone();
-    for v in [&mut want, &mut got] {
-        if let Value::Object(m) = v {
-            m.remove("workers");
-            // The env stamp carries the worker count and toolchain; a
-            // WAL from a different machine is still replayable because
-            // every replayed statistic is deterministic.
-            m.remove("env");
-        }
-    }
-    want == got
+    // The env stamp carries the worker count and toolchain; a WAL from a
+    // different machine is still replayable because every replayed
+    // statistic is deterministic.
+    let free = ["workers", "env"];
+    let want = telemetry::ev_run_start(name, config, 0);
+    telemetry::strip_keys(&want, &free) == telemetry::strip_keys(stored, &free)
 }
 
 /// Loads the resume WAL, if configured. Any problem — unreadable file,

@@ -3,8 +3,9 @@
 //!
 //! [`ExecStats`] is one execution's deterministic counters: the explorer
 //! fills it from the runtime, the `exec_done` telemetry record (which
-//! doubles as the campaign WAL entry) serializes it, resume replay reads
-//! it back, and the dashboard re-reads it from streams.
+//! doubles as the campaign WAL entry) serializes it through its one
+//! field list, resume replay reads it back, and the dashboard re-reads
+//! it from streams.
 //!
 //! [`OutcomeFold`] is the single accumulator behind
 //! [`CheckReport`] and [`Profile`](crate::Profile): `record` folds one
@@ -14,16 +15,17 @@
 //! counters are computed identically in every shard and take the max;
 //! coverage sets union. `check` folds its canonical records,
 //! [`merge_reports`](crate::merge_reports) merges shard reports, and the
-//! campaign dashboard merges `run_end` records, all through this type.
+//! campaign dashboard merges the reports that `run_end` records carry,
+//! all through this type.
 
+use crate::campaign::hex64;
 use crate::explore::{CheckReport, Counterexample};
 use crate::metrics::{OutcomeKind, PassMetrics};
 use crate::pass::Pass;
 use crate::profile::ResourceRow;
 use crate::strategy::DepTrace;
-use crate::telemetry::{hex64, hex_field, u64_field};
 use goose_rt::fault::FaultPlan;
-use serde_json::{Map, Value};
+use serde_json::record;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -60,49 +62,17 @@ pub struct ExecStats {
     pub trace_fp: u64,
 }
 
+// The `exec_done` fields. Only `steps` and `trace_fp` are required:
+// counters a record lacks read as 0, so WALs from earlier builds resume.
+record! {
+    ExecStats {
+        steps, trace_fp with hex64,
+        depth or 0, crashes or 0, helped or 0, lock_blocks or 0, disk_ops or 0, net_msgs or 0,
+        disk_reads or 0, disk_writes or 0, disk_flushes or 0, net_sends or 0, net_recvs or 0,
+    }
+}
+
 impl ExecStats {
-    /// The integer counters under their JSON keys (`trace_fp`, a hex
-    /// string, is handled apart).
-    fn counters(&mut self) -> [(&'static str, &mut u64); 12] {
-        [
-            ("steps", &mut self.steps),
-            ("depth", &mut self.depth),
-            ("crashes", &mut self.crashes),
-            ("helped", &mut self.helped),
-            ("lock_blocks", &mut self.lock_blocks),
-            ("disk_ops", &mut self.disk_ops),
-            ("net_msgs", &mut self.net_msgs),
-            ("disk_reads", &mut self.disk_reads),
-            ("disk_writes", &mut self.disk_writes),
-            ("disk_flushes", &mut self.disk_flushes),
-            ("net_sends", &mut self.net_sends),
-            ("net_recvs", &mut self.net_recvs),
-        ]
-    }
-
-    /// Writes the counters into an `exec_done` record.
-    pub fn write_json(&self, m: &mut Map) {
-        let mut s = *self;
-        for (key, v) in s.counters() {
-            m.insert(key.to_string(), Value::Number(*v as f64));
-        }
-        m.insert("trace_fp".to_string(), Value::String(hex64(self.trace_fp)));
-    }
-
-    /// Reads the counters back out of an `exec_done` record. `steps` and
-    /// `trace_fp` are required; counters a record lacks read as 0.
-    pub fn from_json(m: &Map) -> Option<ExecStats> {
-        u64_field(m, "steps")?;
-        let mut s = ExecStats {
-            trace_fp: hex_field(m, "trace_fp")?,
-            ..ExecStats::default()
-        };
-        for (key, v) in s.counters() {
-            *v = u64_field(m, key).unwrap_or(0);
-        }
-        Some(s)
-    }
-
     /// Model operations folded into one count: block reads, writes and
     /// flushes plus net sends and receives.
     pub fn model_ops(&self) -> u64 {
@@ -255,8 +225,7 @@ impl OutcomeFold {
 
     /// Folds another report of the same scenario in (see the module docs
     /// for the rule). Set-backed coverage counts become the size of the
-    /// unioned set, or stay the larger side's count — a lower bound —
-    /// when the sets are absent (reports read back from `run_end`).
+    /// unioned set.
     pub fn merge(&mut self, o: &CheckReport) {
         let r = &mut self.report;
         r.executions += o.executions;
@@ -281,11 +250,8 @@ impl OutcomeFold {
         r.coverage.merge(&o.coverage);
         r.crash_point_set.extend(&o.crash_point_set);
         r.trace_fps.extend(&o.trace_fps);
-        let cov = &mut r.coverage;
-        cov.crash_points_exercised = cov
-            .crash_points_exercised
-            .max(r.crash_point_set.len() as u64);
-        cov.distinct_traces = cov.distinct_traces.max(r.trace_fps.len() as u64);
+        r.coverage.crash_points_exercised = r.crash_point_set.len() as u64;
+        r.coverage.distinct_traces = r.trace_fps.len() as u64;
         for pm in &o.per_pass {
             pass_row(&mut r.per_pass, pm.pass).merge(pm);
         }

@@ -11,8 +11,7 @@
 
 use crate::explore::ExecOutcome;
 use crate::pass::Pass;
-use crate::telemetry::u64_field;
-use serde_json::{Map, Value};
+use serde_json::record;
 use std::fmt::Write as _;
 
 /// The eight ways an explored execution can end, as a flat tag (the
@@ -148,32 +147,6 @@ impl OutcomeCounts {
             + self.harness_panic
     }
 
-    /// Serializes the tally as an object keyed by [`OutcomeKind::name`],
-    /// zeros included.
-    pub fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        for (name, n) in self.entries() {
-            m.insert(name.to_string(), Value::Number(n as f64));
-        }
-        Value::Object(m)
-    }
-
-    /// Reads a tally written by [`OutcomeCounts::to_json`] (`None` when a
-    /// bucket is missing).
-    pub fn from_json(m: &Map) -> Option<Self> {
-        let n = |key: &str| u64_field(m, key);
-        Some(OutcomeCounts {
-            ok: n("ok")?,
-            violation: n("violation")?,
-            ub: n("ub")?,
-            bug: n("bug")?,
-            deadlock: n("deadlock")?,
-            final_check_failed: n("final_check_failed")?,
-            wedged: n("wedged")?,
-            harness_panic: n("harness_panic")?,
-        })
-    }
-
     /// `(name, count)` pairs in canonical order, zeros included.
     pub fn entries(&self) -> [(&'static str, u64); 8] {
         [
@@ -202,6 +175,10 @@ impl OutcomeCounts {
             parts.join(" ")
         }
     }
+}
+
+record! {
+    OutcomeCounts { ok, violation, ub, bug, deadlock, final_check_failed, wedged, harness_panic }
 }
 
 /// A power-of-two bucketed histogram of u64 samples (bucket `i` covers
@@ -243,21 +220,6 @@ impl Histogram {
         self.count += other.count;
         self.sum += other.sum;
         self.max = self.max.max(other.max);
-    }
-
-    /// Raw bucket counts (index = log2 bucket), for serialization.
-    pub fn raw_buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Rebuilds a histogram from its serialized parts.
-    pub fn from_parts(buckets: Vec<u64>, count: u64, sum: u64, max: u64) -> Self {
-        Histogram {
-            buckets,
-            count,
-            sum,
-            max,
-        }
     }
 
     /// Number of samples recorded.
@@ -319,6 +281,8 @@ impl Histogram {
     }
 }
 
+record! { Histogram { buckets, count, sum, max } }
+
 /// Accounting for one exploration pass, accumulated over its executions:
 /// the report's per-pass rows and the profile's per-pass cost table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -377,6 +341,15 @@ impl PassMetrics {
     }
 }
 
+// `lock_blocks`, `disk_ops`, `net_msgs` and `model_ops` are profile
+// columns, not serialized; `rank` is rederived from `pass`.
+record! {
+    PassMetrics {
+        pass, executions, steps, crashes, fault_plans, failures, pruned, coverage_guided,
+        busy_us as "busy_time_us",
+    } then |pm| pm.rank = pm.pass.rank()
+}
+
 /// Coverage accounting: how much of each enumerable sweep space the run
 /// actually exercised. Ratios stay below 1.0 when a counterexample cut
 /// the run short (statistics stop at the winning key) or when a bound
@@ -409,12 +382,11 @@ pub struct Coverage {
 
 impl Coverage {
     /// Folds another run's coverage of the same scenario into this one:
-    /// exercised plans are per-execution counts (sum), enumerable
-    /// horizons are probe-derived and agree across shards (max), and the
-    /// set-backed counts take the larger side — the caller replaces them
-    /// with the size of the unioned set when it has the sets.
+    /// exercised plans are per-execution counts (sum) and enumerable
+    /// horizons are probe-derived and agree across shards (max). The
+    /// set-backed counts are left to the caller, which recounts them
+    /// from the unioned sets.
     pub fn merge(&mut self, o: &Coverage) {
-        self.crash_points_exercised = self.crash_points_exercised.max(o.crash_points_exercised);
         self.crash_points_enumerable = self.crash_points_enumerable.max(o.crash_points_enumerable);
         self.disk_fault_plans_exercised += o.disk_fault_plans_exercised;
         self.disk_fault_plans_enumerable = self
@@ -424,7 +396,6 @@ impl Coverage {
         self.torn_plans_enumerable = self.torn_plans_enumerable.max(o.torn_plans_enumerable);
         self.net_plans_exercised += o.net_plans_exercised;
         self.net_plans_enumerable = self.net_plans_enumerable.max(o.net_plans_enumerable);
-        self.distinct_traces = self.distinct_traces.max(o.distinct_traces);
     }
 
     fn ratio(done: u64, total: u64) -> f64 {
@@ -504,6 +475,15 @@ impl Coverage {
             self.distinct_traces
         );
         out
+    }
+}
+
+// The set-backed counts are not serialized: a report carries the sets
+// and recounts them.
+record! {
+    Coverage {
+        crash_points_enumerable, disk_fault_plans_exercised, disk_fault_plans_enumerable,
+        torn_plans_exercised, torn_plans_enumerable, net_plans_exercised, net_plans_enumerable,
     }
 }
 

@@ -7,6 +7,7 @@
 //! are `(pass.rank(), index)` and the canonical counterexample is the
 //! minimum key, so variant order here is load-bearing.
 
+use serde_json::{Error, FromJson, ToJson, Value};
 use std::fmt;
 use std::str::FromStr;
 
@@ -127,6 +128,18 @@ impl FromStr for Pass {
             .into_iter()
             .find(|p| p.name() == s)
             .ok_or_else(|| format!("unknown pass {s:?}"))
+    }
+}
+
+impl ToJson for Pass {
+    fn to_json(&self) -> Value {
+        Value::String(self.name().to_string())
+    }
+}
+
+impl FromJson for Pass {
+    fn from_json(v: &Value) -> Result<Self, Error> {
+        String::from_json(v)?.parse().map_err(Error::custom)
     }
 }
 

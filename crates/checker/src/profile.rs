@@ -24,10 +24,10 @@
 //! building it reads counters the explorer already collected — it
 //! schedules no execution and emits no telemetry.
 
+use crate::campaign::hex64;
 use crate::fold::{ExecRecord, OutcomeFold};
 use crate::metrics::PassMetrics;
 use crate::strategy::CoverageIntrospection;
-use crate::telemetry::hex64;
 use goose_rt::sched::{res, Tid};
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -258,7 +258,7 @@ pub fn profile_to_json(p: &Profile) -> Value {
             .iter()
             .map(|r| {
                 json!({
-                    "resource": hex64(r.resource),
+                    "resource": hex64::to_json(&r.resource),
                     "kind": r.kind,
                     "lock_blocks": r.lock_blocks,
                     "collisions": r.collisions,
@@ -275,7 +275,7 @@ pub fn profile_to_json(p: &Profile) -> Value {
                 .strategy
                 .prunes_by_resource
                 .iter()
-                .map(|(id, n)| json!([hex64(*id), n]))
+                .map(|(id, n)| json!([hex64::to_json(id), n]))
                 .collect::<Vec<Value>>(),
             "coverage": p.strategy.coverage.map(|c| {
                 json!({
@@ -348,12 +348,8 @@ pub fn render_profile(p: &Profile) -> String {
         for r in &p.resources {
             writeln!(
                 out,
-                "    {:<10} {}  {:>6} blocks  {:>6} collisions  {:>6} prunes",
-                r.kind,
-                hex64(r.resource),
-                r.lock_blocks,
-                r.collisions,
-                r.prunes,
+                "    {:<10} {:#018x}  {:>6} blocks  {:>6} collisions  {:>6} prunes",
+                r.kind, r.resource, r.lock_blocks, r.collisions, r.prunes,
             )
             .unwrap();
         }

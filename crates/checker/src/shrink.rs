@@ -80,16 +80,10 @@ pub struct ShrinkStats {
 /// it is *not* the ghost-trace fingerprint.
 pub fn failure_identity(outcome: &ExecOutcome) -> String {
     let kind = OutcomeKind::of(outcome).name();
-    let msg = match outcome {
-        ExecOutcome::Ok | ExecOutcome::Deadlock => String::new(),
-        ExecOutcome::Violation(e) => e.to_string(),
-        ExecOutcome::Ub(m)
-        | ExecOutcome::Bug(m)
-        | ExecOutcome::FinalCheckFailed(m)
-        | ExecOutcome::HarnessPanic(m) => m.clone(),
-        ExecOutcome::Wedged(budget) => format!("budget {budget}"),
-    };
-    format!("{kind}: {msg}")
+    match outcome {
+        ExecOutcome::Wedged(budget) => format!("{kind}: budget {budget}"),
+        _ => format!("{kind}: {}", outcome.message()),
+    }
 }
 
 /// FNV-1a hash of [`failure_identity`] — the accept test for every

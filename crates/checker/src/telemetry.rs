@@ -20,12 +20,13 @@
 //!   [`crate::CheckReport`]; the deterministic ones are computed in
 //!   [`crate::OutcomeFold`] from canonical execution records.
 
+use crate::campaign::{hex64, report_to_json, shard_spec};
 use crate::explore::{CheckConfig, CheckReport, Counterexample};
 use crate::fold::{ExecRecord, ExecStats};
-use crate::metrics::{OutcomeCounts, OutcomeKind};
+use crate::metrics::OutcomeKind;
 use crate::pass::Pass;
 use parking_lot::Mutex;
-use serde_json::{json, Map, Value};
+use serde_json::{json, record, FromJson, ToJson, Value};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,7 +86,7 @@ impl TelemetrySink {
     /// abort the check; the first one is recorded and surfaced via
     /// [`TelemetrySink::last_error`].
     pub fn emit(&self, event: &Value) {
-        let line = serde_json::to_string(event).expect("shim serialization is infallible");
+        let line = event.to_string();
         let mut w = self.writer.lock();
         let r = w
             .write_all(line.as_bytes())
@@ -235,13 +236,14 @@ impl RunTelemetry {
             // Stamp every record with its scenario, so streams holding
             // several runs (scenario_smoke --telemetry appends all
             // scenarios to one file) stay attributable line-by-line.
-            let mut v = event.clone();
-            if let Value::Object(map) = &mut v {
-                if map.get("scenario").is_none() {
+            match event {
+                Value::Object(map) if map.get("scenario").is_none() => {
+                    let mut map = map.clone();
                     map.insert("scenario".to_string(), Value::String(self.name.clone()));
+                    stream.emit(&Value::Object(map));
                 }
+                _ => stream.emit(event),
             }
-            stream.emit(&v);
         }
     }
 
@@ -255,61 +257,6 @@ impl RunTelemetry {
                 self.live.progress_line(&self.name, self.start.elapsed())
             );
         }
-    }
-}
-
-/// 64-bit values (seeds, fingerprints) go into JSON as hex strings: the
-/// shim's numbers are f64 and would silently round above 2^53. Always
-/// zero-padded to 16 hex digits (18 chars with the `0x` prefix) so hex
-/// fields are fixed-width, lexicographically ordered, and trivially
-/// greppable across a campaign's worth of streams.
-pub(crate) fn hex64(v: u64) -> String {
-    format!("{v:#018x}")
-}
-
-// Typed field getters shared by every reader of checker JSON (WAL
-// replay, report deserialization, dashboards): `None` when the field is
-// missing or has the wrong type.
-
-/// `m[key]` as a non-negative integer.
-pub(crate) fn u64_field(m: &Map, key: &str) -> Option<u64> {
-    f64_field(m, key).filter(|n| *n >= 0.0).map(|n| n as u64)
-}
-
-/// `m[key]` as a number.
-pub(crate) fn f64_field(m: &Map, key: &str) -> Option<f64> {
-    match m.get(key) {
-        Some(Value::Number(n)) => Some(*n),
-        _ => None,
-    }
-}
-
-/// `m[key]` as a string.
-pub(crate) fn str_field<'a>(m: &'a Map, key: &str) -> Option<&'a str> {
-    match m.get(key) {
-        Some(Value::String(s)) => Some(s),
-        _ => None,
-    }
-}
-
-/// `m[key]` as a [`hex64`] string, decoded.
-pub(crate) fn hex_field(m: &Map, key: &str) -> Option<u64> {
-    u64::from_str_radix(str_field(m, key)?.trim_start_matches("0x"), 16).ok()
-}
-
-/// `m[key]` as an array.
-pub(crate) fn arr_field<'a>(m: &'a Map, key: &str) -> Option<&'a [Value]> {
-    match m.get(key) {
-        Some(Value::Array(items)) => Some(items),
-        _ => None,
-    }
-}
-
-/// `m[key]` as an object.
-pub(crate) fn obj_field<'a>(m: &'a Map, key: &str) -> Option<&'a Map> {
-    match m.get(key) {
-        Some(Value::Object(o)) => Some(o),
-        _ => None,
     }
 }
 
@@ -342,28 +289,14 @@ impl EnvStamp {
         }
     }
 
-    /// Serializes the stamp as the `env` object of a `run_start` record.
+    /// The stamp as JSON (the `env` object of `run_start` records and
+    /// reports), callable without importing [`ToJson`].
     pub fn to_json(&self) -> Value {
-        json!({
-            "rustc": self.rustc,
-            "crate_version": self.crate_version,
-            "workers": self.workers,
-            "strategy": self.strategy,
-        })
-    }
-
-    /// Parses a stamp back out of report/baseline JSON; `None` when any
-    /// field is missing or mistyped.
-    pub fn from_json(v: &Value) -> Option<EnvStamp> {
-        let Value::Object(m) = v else { return None };
-        Some(EnvStamp {
-            rustc: str_field(m, "rustc")?.to_string(),
-            crate_version: str_field(m, "crate_version")?.to_string(),
-            workers: u64_field(m, "workers")?,
-            strategy: str_field(m, "strategy")?.to_string(),
-        })
+        ToJson::to_json(self)
     }
 }
+
+record! { EnvStamp { rustc, crate_version, workers, strategy } }
 
 /// The `run_start` record: the full deterministic configuration of the
 /// run. Deliberately excludes observer-only knobs (trace capture,
@@ -372,7 +305,7 @@ pub fn ev_run_start(name: &str, config: &CheckConfig, workers: usize) -> Value {
     json!({
         "type": "run_start",
         "scenario": name,
-        "seed": hex64(config.seed),
+        "seed": hex64::to_json(&config.seed),
         "workers": workers,
         "env": EnvStamp::current(workers as u64, config.strategy.name()).to_json(),
         "max_steps": config.max_steps,
@@ -382,7 +315,7 @@ pub fn ev_run_start(name: &str, config: &CheckConfig, workers: usize) -> Value {
         "passes": config.passes.iter().map(Pass::name).collect::<Vec<_>>(),
         "strategy": config.strategy.name(),
         "keep_going": config.keep_going,
-        "shard": config.shard.map(|(i, n)| format!("{i}/{n}")),
+        "shard": shard_spec::to_json(&config.shard),
         "exec_budget": config.exec_budget,
     })
 }
@@ -408,37 +341,44 @@ pub fn ev_pass_end(pass: Pass, duration: Duration) -> Value {
     })
 }
 
-/// The `exec_done` record for one finished execution. It doubles as the
-/// campaign WAL entry: it carries every deterministic statistic a
-/// resumed run needs to reconstruct the execution's record without
-/// re-running it. `faults` is the plan's compact description.
+/// `base` with `more`'s keys added (both are objects).
+fn with_keys(mut base: Value, more: Value) -> Value {
+    if let (Value::Object(b), Value::Object(m)) = (&mut base, more) {
+        b.append(m);
+    }
+    base
+}
+
+/// The `exec_done` record for one finished execution: its job key, seed,
+/// outcome, compact fault plan and duration, plus its [`ExecStats`]. It
+/// doubles as the campaign WAL entry: it carries every deterministic
+/// statistic a resumed run needs to reconstruct the execution's record
+/// without re-running it.
 pub(crate) fn ev_exec_done(rec: &ExecRecord, faults: &str) -> Value {
-    let mut ev = json!({
+    let ev = json!({
         "type": "exec_done",
-        "pass": rec.pass.name(),
+        "pass": rec.pass,
         "index": rec.key.1,
-        "seed": hex64(rec.seed),
+        "seed": hex64::to_json(&rec.seed),
         "outcome": rec.outcome.name(),
         "faults": faults,
         "duration_us": (rec.duration.as_micros() as u64),
     });
-    if let Value::Object(m) = &mut ev {
-        rec.stats.write_json(m);
-    }
-    ev
+    with_keys(ev, rec.stats.to_json())
 }
 
 /// Reads an `exec_done` record back: job key, seed, outcome, counters,
-/// and duration (`None` when a required field is missing).
-pub(crate) fn parse_exec_done(m: &Map) -> Option<ExecRecord> {
-    let pass: Pass = str_field(m, "pass")?.parse().ok()?;
+/// and duration (`None` when a required field is missing or mistyped).
+pub(crate) fn parse_exec_done(v: &Value) -> Option<ExecRecord> {
+    let Value::Object(m) = v else { return None };
+    let pass = m.field("pass", Pass::from_json, None).ok()?;
     Some(ExecRecord {
-        key: (pass.rank(), u64_field(m, "index")?),
+        key: (pass.rank(), m.field("index", u64::from_json, None).ok()?),
         pass,
-        seed: hex_field(m, "seed").unwrap_or(0),
-        outcome: OutcomeKind::from_name(str_field(m, "outcome")?)?,
-        stats: ExecStats::from_json(m)?,
-        duration: Duration::from_micros(u64_field(m, "duration_us").unwrap_or(0)),
+        seed: m.field("seed", hex64::from_json, None).unwrap_or(0),
+        outcome: OutcomeKind::from_name(m.get("outcome")?.as_str()?)?,
+        stats: ExecStats::from_json(v).ok()?,
+        duration: Duration::from_micros(m.field("duration_us", u64::from_json, None).unwrap_or(0)),
         ..ExecRecord::default()
     })
 }
@@ -448,9 +388,9 @@ pub(crate) fn parse_exec_done(m: &Map) -> Option<ExecRecord> {
 pub fn ev_counterexample(cx: &Counterexample) -> Value {
     json!({
         "type": "counterexample",
-        "pass": cx.pass.name(),
+        "pass": cx.pass,
         "index": cx.index,
-        "seed": hex64(cx.seed),
+        "seed": hex64::to_json(&cx.seed),
         "outcome": OutcomeKind::of(&cx.outcome).name(),
         "crash_points": cx.crash_points,
         "schedule_prefix": cx.schedule_prefix,
@@ -458,103 +398,29 @@ pub fn ev_counterexample(cx: &Counterexample) -> Value {
     })
 }
 
-/// The `run_end` record: the report's deterministic totals and verdict.
-/// Shrink statistics are appended only when shrinking ran, so
-/// shrink-off streams stay byte-identical to pre-shrink ones.
+/// The `run_end` record: the report record ([`report_to_json`]) plus
+/// `type`, `scenario` and the verdict, so
+/// [`report_from_json`](crate::report_from_json) reads it back as the
+/// run's report. Shrink statistics are appended only when shrinking ran,
+/// so shrink-off streams carry no `shrink_*` keys.
 pub fn ev_run_end(report: &CheckReport) -> Value {
-    let mut ev = json!({
+    let head = json!({
         "type": "run_end",
         "scenario": report.name,
         "passed": report.passed(),
-        "executions": report.executions,
-        "total_steps": report.total_steps,
-        "crashes_injected": report.crashes_injected,
-        "crash_points": report.crash_points,
-        "fault_plans": report.fault_plans,
-        "disk_reads": report.disk_reads,
-        "disk_writes": report.disk_writes,
-        "disk_flushes": report.disk_flushes,
-        "net_sends": report.net_sends,
-        "net_recvs": report.net_recvs,
-        "counterexamples": report.counterexamples.len(),
-        "outcomes": report.outcomes.to_json(),
-        "crash_points_exercised": report.coverage.crash_points_exercised,
-        "crash_points_enumerable": report.coverage.crash_points_enumerable,
-        "fault_plans_exercised": report.coverage.fault_plans_exercised(),
-        "fault_plans_enumerable": report.coverage.fault_plans_enumerable(),
-        "distinct_traces": report.coverage.distinct_traces,
-        "strategy": report.strategy,
-        "pruned": report.pruned,
-        "coverage_guided": report.coverage_guided,
-        "shard": report.shard.map(|(i, n)| format!("{i}/{n}")),
-        "replayed": report.replayed,
-        "incomplete": report.incomplete,
-        "workers": report.workers,
-        "wall_time_s": report.wall_time.as_secs_f64(),
-        "execs_per_sec": report.execs_per_sec,
     });
-    // Shrink bookkeeping rides along only when shrinking actually ran,
-    // so shrink-off streams stay byte-identical to pre-shrink ones.
-    if let Some(s) = &report.shrink {
-        if let Value::Object(map) = &mut ev {
-            map.insert(
-                "shrink_steps_removed".to_string(),
-                serde_json::to_value(&s.steps_removed),
-            );
-            map.insert("shrink_rounds".to_string(), serde_json::to_value(&s.rounds));
-            map.insert(
-                "shrink_re_runs".to_string(),
-                serde_json::to_value(&s.re_runs),
-            );
-        }
+    let ev = with_keys(report_to_json(report), head);
+    match &report.shrink {
+        Some(s) => with_keys(
+            ev,
+            json!({
+                "shrink_steps_removed": s.steps_removed,
+                "shrink_rounds": s.rounds,
+                "shrink_re_runs": s.re_runs,
+            }),
+        ),
+        None => ev,
     }
-    ev
-}
-
-/// Reads a `run_end` record back as a partial report of that run's
-/// totals — what the campaign dashboard merges across shards. The record carries no
-/// sets, per-pass rows, or helped ops, so once merged its set-backed
-/// coverage counts are lower bounds (see
-/// [`OutcomeFold::merge`](crate::OutcomeFold::merge)). Its
-/// fault-plan counts are pooled over the three surfaces; they land in
-/// the disk slots, so only the pooled sums
-/// ([`crate::Coverage::fault_plans_exercised`] and
-/// [`crate::Coverage::fault_plans_enumerable`]) are meaningful.
-pub fn parse_run_end(m: &Map) -> CheckReport {
-    let n = |key: &str| u64_field(m, key).unwrap_or(0);
-    let mut f = CheckReport {
-        executions: n("executions") as usize,
-        total_steps: n("total_steps"),
-        crashes_injected: n("crashes_injected") as usize,
-        crash_points: n("crash_points") as usize,
-        fault_plans: n("fault_plans") as usize,
-        disk_reads: n("disk_reads"),
-        disk_writes: n("disk_writes"),
-        disk_flushes: n("disk_flushes"),
-        net_sends: n("net_sends"),
-        net_recvs: n("net_recvs"),
-        pruned: n("pruned"),
-        coverage_guided: n("coverage_guided"),
-        outcomes: obj_field(m, "outcomes")
-            .and_then(OutcomeCounts::from_json)
-            .unwrap_or_default(),
-        replayed: n("replayed"),
-        workers: n("workers") as usize,
-        wall_time: Duration::from_secs_f64(f64_field(m, "wall_time_s").unwrap_or(0.0).max(0.0)),
-        ..CheckReport::default()
-    };
-    let cov = &mut f.coverage;
-    cov.crash_points_exercised = n("crash_points_exercised");
-    cov.crash_points_enumerable = n("crash_points_enumerable");
-    cov.disk_fault_plans_exercised = n("fault_plans_exercised");
-    cov.disk_fault_plans_enumerable = n("fault_plans_enumerable");
-    cov.distinct_traces = n("distinct_traces");
-    for msg in arr_field(m, "incomplete").unwrap_or_default() {
-        if let Value::String(msg) = msg {
-            f.incomplete.push(msg.clone());
-        }
-    }
-    f
 }
 
 /// Keys whose values are wall-clock dependent. Strip these before
@@ -577,7 +443,8 @@ pub fn validate_json_line(line: &str) -> Result<String, String> {
     let Value::Object(map) = &v else {
         return Err("telemetry line is not a JSON object".to_string());
     };
-    str_field(map, "type")
+    map.get("type")
+        .and_then(Value::as_str)
         .map(str::to_string)
         .ok_or_else(|| "telemetry line has no string \"type\" field".to_string())
 }
@@ -613,28 +480,30 @@ pub fn parse_wal(text: &str, scenario: &str) -> WalReplay {
         if line.trim().is_empty() {
             continue;
         }
-        let Ok(Value::Object(map)) = serde_json::from_str(line) else {
+        let v = serde_json::from_str(line).unwrap_or(Value::Null);
+        let Value::Object(map) = &v else {
             wal.torn_lines += 1;
             continue;
         };
-        let Some(ty) = str_field(&map, "type") else {
+        let field = |key| map.get(key).and_then(Value::as_str);
+        let Some(ty) = field("type") else {
             wal.torn_lines += 1;
             continue;
         };
         // Streams can hold several scenarios (scenario_smoke appends
         // all of them to one file); replay only this scenario's lines.
-        if str_field(&map, "scenario").is_some_and(|s| s != scenario) {
+        if field("scenario").is_some_and(|s| s != scenario) {
             continue;
         }
         match ty {
             "run_start" => {
                 wal.runs_started += 1;
-                wal.run_start = Some(Value::Object(map));
+                wal.run_start = Some(v.clone());
             }
             "exec_done" => {
                 // Only `ok` executions are replayable: failures re-run
                 // to regenerate their counterexample payloads.
-                if let Some(rec) = parse_exec_done(&map) {
+                if let Some(rec) = parse_exec_done(&v) {
                     if rec.outcome == OutcomeKind::Ok {
                         wal.completed.insert(rec.key, rec.stats);
                     }
@@ -656,17 +525,22 @@ pub fn read_wal(path: impl AsRef<Path>, scenario: &str) -> std::io::Result<WalRe
 /// Rebuilds a parsed event without its [`TIMING_KEYS`] (recursively) —
 /// the canonical form for byte-stability comparisons.
 pub fn strip_timing(v: &Value) -> Value {
+    strip_keys(v, &TIMING_KEYS)
+}
+
+/// `v` rebuilt without `keys`, at any depth.
+pub(crate) fn strip_keys(v: &Value, keys: &[&str]) -> Value {
     match v {
         Value::Object(map) => {
             let mut out = serde_json::Map::new();
             for (k, val) in map.iter() {
-                if !TIMING_KEYS.contains(&k.as_str()) {
-                    out.insert(k.clone(), strip_timing(val));
+                if !keys.contains(&k.as_str()) {
+                    out.insert(k.clone(), strip_keys(val, keys));
                 }
             }
             Value::Object(out)
         }
-        Value::Array(items) => Value::Array(items.iter().map(strip_timing).collect()),
+        Value::Array(items) => Value::Array(items.iter().map(|i| strip_keys(i, keys)).collect()),
         other => other.clone(),
     }
 }
@@ -874,8 +748,9 @@ mod tests {
     /// WAL (`scan --faults --strategy dpor`, `patterns/txn-wal`).
     const GOLDEN_EXEC_DONE: &str = r#"{"crashes": 1,"depth": 50,"disk_flushes": 8,"disk_ops": 30,"disk_reads": 11,"disk_writes": 19,"duration_us": 829,"faults": "torn-sub0","helped": 1,"index": 38,"lock_blocks": 1,"net_msgs": 0,"net_recvs": 0,"net_sends": 0,"outcome": "ok","pass": "torn-write-sweep","scenario": "transactional WAL","seed": "0x6f792d072542747b","steps": 51,"trace_fp": "0x11cc7fc46a72e234","type": "exec_done"}"#;
 
-    /// The `run_end` record of the same campaign's `kv/cross-bucket` run.
-    const GOLDEN_RUN_END: &str = r#"{"counterexamples": 0,"coverage_guided": 0,"crash_points": 729,"crash_points_enumerable": 22,"crash_points_exercised": 50,"crashes_injected": 1345,"disk_flushes": 3340,"disk_reads": 8198,"disk_writes": 3520,"distinct_traces": 182,"execs_per_sec": 1939.60649520027,"executions": 1028,"fault_plans": 76,"fault_plans_enumerable": 76,"fault_plans_exercised": 76,"incomplete": [],"net_recvs": 0,"net_sends": 0,"outcomes": {"bug": 0,"deadlock": 0,"final_check_failed": 0,"harness_panic": 0,"ok": 1028,"ub": 0,"violation": 0,"wedged": 0},"passed": true,"pruned": 39,"replayed": 0,"scenario": "node KV store","shard": null,"strategy": "sleep-set-dpor","total_steps": 28043,"type": "run_end","wall_time_s": 0.530004412,"workers": 2}"#;
+    /// The `run_end` record of a report with the totals of the same
+    /// campaign's `kv/cross-bucket` run, as one JSONL line.
+    const GOLDEN_RUN_END: &str = include_str!("../tests/golden/run_end.json");
 
     /// WALs written by earlier checker builds must keep parsing and
     /// resuming, and today's writer must keep producing the same bytes:
@@ -886,10 +761,8 @@ mod tests {
         let wal = parse_wal(GOLDEN_EXEC_DONE, "transactional WAL");
         let w = wal.completed[&(Pass::TornWrite.rank(), 38)];
         assert_eq!((w.steps, w.helped, w.disk_writes), (51, 1, 19));
-        let Ok(Value::Object(m)) = serde_json::from_str(GOLDEN_EXEC_DONE) else {
-            panic!("golden line is not an object");
-        };
-        let rec = parse_exec_done(&m).expect("golden line parses");
+        let v = serde_json::from_str(GOLDEN_EXEC_DONE).expect("golden line parses");
+        let rec = parse_exec_done(&v).expect("golden line is an exec_done record");
         assert_eq!(
             (rec.key, rec.seed, rec.stats),
             ((8, 38), 0x6f79_2d07_2542_747b, w)
@@ -902,7 +775,8 @@ mod tests {
     }
 
     /// The golden `run_end` line is what `ev_run_end` renders for a
-    /// report with the same totals, byte for byte (timing included).
+    /// report with those totals, byte for byte (timing included), and it
+    /// reads back as the same report.
     #[test]
     fn golden_run_end_line_renders_byte_for_byte() {
         let mut r = CheckReport {
@@ -920,6 +794,8 @@ mod tests {
             pruned: 39,
             workers: 2,
             wall_time: Duration::from_nanos(530_004_412),
+            crash_point_set: (1..=50).collect(),
+            trace_fps: (1..=182).collect(),
             ..CheckReport::default()
         };
         r.outcomes.ok = 1028;
@@ -930,18 +806,17 @@ mod tests {
         r.coverage.torn_plans_exercised = 48;
         r.coverage.torn_plans_enumerable = 48;
         r.coverage.distinct_traces = 182;
+        let line = serde_json::to_string(&ev_run_end(&r)).unwrap();
+        assert_eq!(line + "\n", GOLDEN_RUN_END);
+        let back = crate::report_from_json(&serde_json::from_str(GOLDEN_RUN_END).unwrap())
+            .expect("a run_end record is a report");
         assert_eq!(
-            serde_json::to_string(&ev_run_end(&r)).unwrap(),
-            GOLDEN_RUN_END
+            crate::report_fingerprint(&back),
+            crate::report_fingerprint(&r)
         );
-        // Read back, the record is that run's fold of totals.
-        let Ok(Value::Object(m)) = serde_json::from_str(GOLDEN_RUN_END) else {
-            panic!("golden line is not an object");
-        };
-        let f = parse_run_end(&m);
-        assert_eq!((f.executions, f.total_steps, f.pruned), (1028, 28043, 39));
-        assert_eq!(f.outcomes, r.outcomes);
-        assert_eq!(f.coverage.fault_plans_exercised(), 76);
+        assert_eq!((back.executions, back.total_steps), (1028, 28043));
+        assert_eq!(back.coverage, r.coverage);
+        assert_eq!(back.wall_time, r.wall_time);
     }
 
     #[test]

@@ -1,12 +1,27 @@
 //! Offline shim for the `serde_json` crate: a JSON value tree, the
 //! `json!` macro over flat/nested objects, pretty printing, and a
 //! minimal [`from_str`] parser (always targeting [`Value`]). No serde
-//! derive integration — the workspace emits JSON records (the experiment
-//! harness's `--json`, the checker's telemetry JSONL) and parses them
-//! back only for validation and field-stripping in tests.
+//! derive integration: write-only records are `json!` literals, and a
+//! record that is written *and* read back is declared once with
+//! [`record!`].
+//!
+//! # The `record!` / [`FromJson`] contract
+//!
+//! [`FromJson`] is the inverse of [`ToJson`], strict and exact: a
+//! mistyped value is an error, and an integer target rejects a
+//! fractional, negative or out-of-range number (`u64` only up to 2^53)
+//! instead of rounding it. `record! { T { field, ... } }` implements both
+//! traits from one field list. A field is keyed by its own name unless
+//! `as "key"` renames it; `with m` routes it through an *adapter* module
+//! `m` (`to_json(&F) -> Value`, `from_json(&Value) -> Result<F, Error>`);
+//! `or expr` is what a missing key decodes to, and without it a missing
+//! key is an error. Errors name the key path. Unlisted fields are
+//! neither written nor read: decoding starts from `T::default()`, and a
+//! `then |r| ...` hook rederives them. `record! { mod m for T { ... } }`
+//! emits the pair as adapter module `m`, for a foreign `T`.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Write as _};
 
 /// JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,6 +33,16 @@ pub enum Value {
     String(String),
     Array(Vec<Value>),
     Object(Map),
+}
+
+impl Value {
+    /// The string, when this is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::String(s) => Some(s),
+            _ => None,
+        }
+    }
 }
 
 /// Object map (sorted keys — deterministic output).
@@ -57,6 +82,25 @@ impl Map {
 
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
         self.entries.iter()
+    }
+
+    /// Moves every entry of `other` into `self`.
+    pub fn append(&mut self, mut other: Map) {
+        self.entries.append(&mut other.entries);
+    }
+
+    /// `self[key]` decoded as a `T` (the [`record!`] field read): a
+    /// missing key reads as `default`, or is an error without one.
+    pub fn field<T>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(&Value) -> Result<T, Error>,
+        default: Option<T>,
+    ) -> Result<T, Error> {
+        match self.get(key) {
+            Some(v) => decode(v).map_err(|e| Error::new(format!("field {key:?}: {e}"))),
+            None => default.ok_or_else(|| Error::new(format!("field {key:?}: missing"))),
+        }
     }
 }
 
@@ -115,7 +159,7 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
-impl<T: ToJson> ToJson for &T {
+impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> Value {
         (*self).to_json()
     }
@@ -127,10 +171,163 @@ impl<T: ToJson> ToJson for [T] {
     }
 }
 
+impl<T: ToJson> ToJson for BTreeSet<T> {
+    fn to_json(&self) -> Value {
+        Value::Array(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn to_json(&self) -> Value {
+        Value::Array(vec![self.0.to_json(), self.1.to_json()])
+    }
+}
+
 /// Converts any [`ToJson`] into a [`Value`] (shim analog of
 /// `serde_json::to_value`, but infallible).
 pub fn to_value<T: ToJson + ?Sized>(v: &T) -> Value {
     v.to_json()
+}
+
+/// Conversion out of a [`Value`], the inverse of [`ToJson`]: strict and
+/// exact (see the module docs).
+pub trait FromJson: Sized {
+    fn from_json(v: &Value) -> Result<Self, Error>;
+}
+
+fn mistyped(want: &str, got: &Value) -> Error {
+    let got = got.to_string();
+    Error::new(format!("expected {want}, got {got}"))
+}
+
+macro_rules! fromjson_leaf {
+    ($($t:ty: $pat:pat => $v:expr, $want:literal;)*) => {$(
+        impl FromJson for $t {
+            fn from_json(v: &Value) -> Result<Self, Error> {
+                match v {
+                    $pat => Ok($v),
+                    _ => Err(mistyped($want, v)),
+                }
+            }
+        }
+    )*};
+}
+impl FromJson for Value {
+    fn from_json(v: &Value) -> Result<Self, Error> {
+        Ok(v.clone())
+    }
+}
+
+fromjson_leaf! {
+    bool: Value::Bool(b) => *b, "a boolean";
+    String: Value::String(s) => s.clone(), "a string";
+    f64: Value::Number(n) => *n, "a number";
+}
+
+/// Integers above 2^53 do not survive the f64 round trip.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
+
+macro_rules! fromjson_uint {
+    ($($t:ty),*) => {$(
+        impl FromJson for $t {
+            fn from_json(v: &Value) -> Result<Self, Error> {
+                match v {
+                    Value::Number(n)
+                        if n.fract() == 0.0 && *n >= 0.0 && *n <= MAX_EXACT.min(<$t>::MAX as f64) =>
+                    {
+                        Ok(*n as $t)
+                    }
+                    _ => Err(mistyped(concat!("an integer in ", stringify!($t), " range"), v)),
+                }
+            }
+        }
+    )*};
+}
+fromjson_uint!(u8, u32, u64, usize);
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(v: &Value) -> Result<Self, Error> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(v: &Value) -> Result<Self, Error> {
+        match v {
+            Value::Array(items) => items.iter().map(T::from_json).collect(),
+            _ => Err(mistyped("an array", v)),
+        }
+    }
+}
+
+impl<T: FromJson + Ord> FromJson for BTreeSet<T> {
+    fn from_json(v: &Value) -> Result<Self, Error> {
+        Ok(Vec::from_json(v)?.into_iter().collect())
+    }
+}
+
+impl<A: FromJson, B: FromJson> FromJson for (A, B) {
+    fn from_json(v: &Value) -> Result<Self, Error> {
+        match Vec::<Value>::from_json(v)?.as_slice() {
+            [a, b] => Ok((A::from_json(a)?, B::from_json(b)?)),
+            _ => Err(mistyped("a pair", v)),
+        }
+    }
+}
+
+/// Declares a JSON record from one field list; see the module docs.
+#[macro_export]
+macro_rules! record {
+    (@enc $r:ident { $($f:ident $(as $k:literal)? $(with $a:ident)? $(or $d:expr)?),* $(,)? }) => {{
+        let mut m = $crate::Map::new();
+        $( m.insert($crate::record!(@key $f $($k)?).to_string(), $crate::record!(@to $r.$f $(, $a)?)); )*
+        $crate::Value::Object(m)
+    }};
+    (@dec $v:ident $ty:ty { $($f:ident $(as $k:literal)? $(with $a:ident)? $(or $d:expr)?),* $(,)? }
+        $(then $fix:expr)?) => {{
+        let $crate::Value::Object(m) = $v else {
+            return Err($crate::Error::custom(concat!("expected a ", stringify!($ty), " object")));
+        };
+        let mut r = <$ty>::default();
+        $( r.$f = m.field($crate::record!(@key $f $($k)?), $crate::record!(@from $($a)?),
+            $crate::record!(@or $($d)?))?; )*
+        $( let fix: fn(&mut $ty) = $fix; fix(&mut r); )?
+        Ok(r)
+    }};
+    (@key $f:ident) => { stringify!($f) };
+    (@key $f:ident $k:literal) => { $k };
+    (@to $v:expr) => { $crate::ToJson::to_json(&$v) };
+    (@to $v:expr, $a:ident) => { $a::to_json(&$v) };
+    (@from) => { $crate::FromJson::from_json };
+    (@from $a:ident) => { $a::from_json };
+    (@or) => { None };
+    (@or $d:expr) => { Some($d) };
+    (mod $m:ident for $ty:ty { $($fields:tt)* } $(then $fix:expr)?) => {
+        mod $m {
+            use super::*;
+            pub fn to_json(r: &$ty) -> $crate::Value {
+                $crate::record!(@enc r { $($fields)* })
+            }
+            pub fn from_json(v: &$crate::Value) -> Result<$ty, $crate::Error> {
+                $crate::record!(@dec v $ty { $($fields)* } $(then $fix)?)
+            }
+        }
+    };
+    ($ty:ty { $($fields:tt)* } $(then $fix:expr)?) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Value {
+                $crate::record!(@enc self { $($fields)* })
+            }
+        }
+        impl $crate::FromJson for $ty {
+            fn from_json(v: &$crate::Value) -> Result<Self, $crate::Error> {
+                $crate::record!(@dec v $ty { $($fields)* } $(then $fix)?)
+            }
+        }
+    };
 }
 
 /// Build a [`Value`] with JSON-ish syntax. Supports `null`, object
@@ -185,6 +382,11 @@ impl Error {
     fn new(msg: impl Into<String>) -> Self {
         Error { msg: msg.into() }
     }
+
+    /// An error carrying a caller's message (an adapter's decode error).
+    pub fn custom(msg: impl fmt::Display) -> Self {
+        Error::new(msg.to_string())
+    }
 }
 
 impl fmt::Display for Error {
@@ -197,69 +399,77 @@ impl std::error::Error for Error {}
 
 fn escape(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
+    // Copy runs of characters that need no escape in one go; every
+    // character that does is ASCII.
+    let mut run = 0;
+    for (i, c) in s.char_indices() {
+        if c != '"' && c != '\\' && c >= ' ' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            c => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
-fn write_value(v: &Value, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent);
-    let pad_in = "  ".repeat(indent + 1);
+/// Writes `v` pretty-printed at `indent` levels, or compact for `None`:
+/// no line breaks or indentation, but still `": "` after object keys.
+fn write_value(v: &Value, indent: Option<usize>, out: &mut String) {
+    let inner = indent.map(|i| i + 1);
+    let newline = |out: &mut String, level: Option<usize>| {
+        if let Some(level) = level {
+            out.push('\n');
+            out.push_str(&"  ".repeat(level));
+        }
+    };
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Number(n) => {
             if n.fract() == 0.0 && n.abs() < 9e15 {
-                out.push_str(&format!("{}", *n as i64));
+                let _ = write!(out, "{}", *n as i64);
             } else {
-                out.push_str(&format!("{n}"));
+                let _ = write!(out, "{n}");
             }
         }
         Value::String(s) => escape(s, out),
+        Value::Array(items) if items.is_empty() => out.push_str("[]"),
         Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push_str("[\n");
+            out.push('[');
             for (i, item) in items.iter().enumerate() {
-                out.push_str(&pad_in);
-                write_value(item, indent + 1, out);
-                if i + 1 < items.len() {
+                if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
+                newline(out, inner);
+                write_value(item, inner, out);
             }
-            out.push_str(&pad);
+            newline(out, indent);
             out.push(']');
         }
+        Value::Object(map) if map.is_empty() => out.push_str("{}"),
         Value::Object(map) => {
-            if map.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            let n = map.len();
+            out.push('{');
             for (i, (k, val)) in map.iter().enumerate() {
-                out.push_str(&pad_in);
-                escape(k, out);
-                out.push_str(": ");
-                write_value(val, indent + 1, out);
-                if i + 1 < n {
+                if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
+                newline(out, inner);
+                escape(k, out);
+                out.push_str(": ");
+                write_value(val, inner, out);
             }
-            out.push_str(&pad);
+            newline(out, indent);
             out.push('}');
         }
     }
@@ -268,7 +478,7 @@ fn write_value(v: &Value, indent: usize, out: &mut String) {
 /// Pretty-prints a value as indented JSON.
 pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_json(), 0, &mut out);
+    write_value(&value.to_json(), Some(0), &mut out);
     Ok(out)
 }
 
@@ -480,13 +690,16 @@ impl<'a> Parser<'a> {
 
 /// Compact printing.
 pub fn to_string<T: ToJson + ?Sized>(value: &T) -> Result<String, Error> {
-    let pretty = to_string_pretty(value)?;
-    // Compact enough for a shim: strip the indentation newlines.
-    Ok(pretty
-        .lines()
-        .map(str::trim_start)
-        .collect::<Vec<_>>()
-        .join(""))
+    Ok(value.to_json().to_string())
+}
+
+/// Compact JSON, as [`to_string`] prints it (without cloning the value).
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        write_value(self, None, &mut out);
+        f.write_str(&out)
+    }
 }
 
 #[cfg(test)]
@@ -496,7 +709,7 @@ mod tests {
     #[test]
     fn from_str_round_trips_compact_output() {
         let v = json!({
-            "s": "a \"quoted\"\nline\twith \\ unicode ✓",
+            "s": "a \"quoted\"\nline\twith \\ unicode ✓ and \u{1} control",
             "n": 42u64,
             "f": 1.5f64,
             "neg": (-7i64),
@@ -578,5 +791,52 @@ mod tests {
         let v = json!({ "s": "a\"b\nc" });
         let text = to_string_pretty(&v).unwrap();
         assert!(text.contains("a\\\"b\\nc"));
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Hist {
+        buckets: Vec<u64>,
+        count: u64,
+        label: Option<String>,
+        derived: usize,
+    }
+
+    record! { Hist { buckets, count as "n", label or None } then |h| h.derived = h.buckets.len() }
+
+    #[test]
+    fn record_round_trips_and_decodes_strictly() {
+        let text = r#"{"buckets": [1,0,3],"label": "x","n": 4}"#;
+        let h = Hist::from_json(&from_str(text).unwrap()).unwrap();
+        assert_eq!((h.count, h.label.as_deref(), h.derived), (4, Some("x"), 3));
+        assert_eq!(to_string(&h.to_json()).unwrap(), text);
+        let unlabeled = Hist::from_json(&from_str(r#"{"buckets": [], "n": 0}"#).unwrap());
+        assert_eq!(unlabeled.unwrap(), Hist::default());
+        for (bad, field) in [
+            (r#"{"buckets": [], "n": 1.5}"#, "n"),
+            (r#"{"buckets": [-1], "n": 1}"#, "buckets"),
+            (r#"{"buckets": []}"#, "n"),
+            (r#"{"buckets": [], "n": 1, "label": 7}"#, "label"),
+        ] {
+            let err = Hist::from_json(&from_str(bad).unwrap()).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("{field:?}")),
+                "{bad}: {err}"
+            );
+        }
+        assert!(Hist::from_json(&Value::Null).is_err());
+    }
+
+    #[test]
+    fn integers_decode_exactly() {
+        let n = Value::Number;
+        assert_eq!(u8::from_json(&n(255.0)).unwrap(), 255);
+        for bad in [256.0, -1.0, 1.5, f64::NAN, f64::INFINITY] {
+            assert!(u8::from_json(&n(bad)).is_err(), "{bad}");
+        }
+        assert!(u32::from_json(&n(4_294_967_296.0)).is_err());
+        assert_eq!(u64::from_json(&n(MAX_EXACT)).unwrap(), 1 << 53);
+        assert!(u64::from_json(&n(2.0 * MAX_EXACT)).is_err());
+        assert_eq!(<(u8, u64)>::from_json(&json!([2, 9])).unwrap(), (2, 9));
+        assert!(<(u8, u64)>::from_json(&json!([2])).is_err());
     }
 }

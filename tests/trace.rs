@@ -7,8 +7,8 @@
 
 use perennial_checker::{
     chrome_trace_json, merge_reports, render_explain, render_failure, report_fingerprint,
-    CheckConfig, CheckConfigBuilder, Counterexample, Dashboard, FaultPlan, Pass, PassMetrics,
-    TelemetrySink,
+    report_from_json, CheckConfig, CheckConfigBuilder, Counterexample, Dashboard, FaultPlan, Pass,
+    PassMetrics, TelemetrySink,
 };
 use perennial_suite::{all_mutant_scenarios, all_scenarios};
 use serde_json::Value;
@@ -186,15 +186,24 @@ fn dashboard_totals_match_merge_reports_over_shards() {
     assert_eq!(m.crashes_injected, merged.crashes_injected);
     assert_eq!(m.outcomes, merged.outcomes);
     assert_eq!(m.outcomes.failures(), merged.counterexamples.len() as u64);
+    assert_eq!(m.helped_ops, merged.helped_ops);
+    assert_eq!(m.crash_points, merged.crash_points);
     let (got, want) = (&m.coverage, &merged.coverage);
     assert_eq!(got.crash_points_enumerable, want.crash_points_enumerable);
     assert_eq!(got.fault_plans_exercised(), want.fault_plans_exercised());
     assert_eq!(got.fault_plans_enumerable(), want.fault_plans_enumerable());
     assert!(want.fault_plans_exercised() > 0, "fault sweeps were on");
-    // `run_end` carries no crash-point sets, so the dashboard's distinct
-    // crash-point count is a documented lower bound.
+    // `run_end` carries the coverage sets, so set-backed counts are exact.
     assert!(got.crash_points_exercised > 0);
-    assert!(got.crash_points_exercised <= want.crash_points_exercised);
+    assert_eq!(got.crash_points_exercised, want.crash_points_exercised);
+    assert_eq!(got.distinct_traces, want.distinct_traces);
+    let rows = |r: &perennial_checker::CheckReport| -> Vec<_> {
+        r.per_pass
+            .iter()
+            .map(|pm| (pm.pass, pm.executions, pm.steps, pm.failures))
+            .collect()
+    };
+    assert_eq!(rows(&m), rows(&merged));
     assert_eq!(m.pruned, merged.pruned);
     assert_eq!(m.replayed, merged.replayed);
     let totals = dash.totals();
@@ -231,6 +240,37 @@ fn dashboard_totals_match_merge_reports_over_shards() {
         rendered.contains(&merged.executions.to_string()),
         "{rendered}"
     );
+}
+
+/// A `run_end` record is the run's report: decoded with
+/// `report_from_json` it has the run's own report fingerprint, both
+/// unsharded and for each shard of a 2-way split.
+#[test]
+fn run_end_decodes_to_the_runs_report_fingerprint() {
+    let registry = all_scenarios();
+    let scenario = registry.get("patterns/wal").expect("registered scenario");
+    for shard in [None, Some(0), Some(1)] {
+        let (sink, buf) = TelemetrySink::shared_buffer();
+        let mut cfg = base_cfg().telemetry(sink);
+        if let Some(i) = shard {
+            cfg = cfg.shard(i, 2);
+        }
+        let report = scenario.run(&cfg.build());
+        let text = String::from_utf8(buf.lock().clone()).expect("stream is UTF-8");
+        let line = text.lines().last().expect("a non-empty stream");
+        let v = serde_json::from_str(line).expect("run_end parses");
+        let Value::Object(m) = &v else {
+            panic!("run_end is not an object")
+        };
+        assert_eq!(m.get("type"), Some(&Value::String("run_end".into())));
+        let back = report_from_json(&v).expect("run_end decodes as a report");
+        assert_eq!(
+            report_fingerprint(&back),
+            report_fingerprint(&report),
+            "shard {shard:?}"
+        );
+        assert!(back.fault_plans > 0, "fault sweeps were on");
+    }
 }
 
 /// Model-op counters flow from the goose runtime all the way into the
